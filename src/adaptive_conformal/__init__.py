@@ -20,7 +20,6 @@ from .conformal import (
 from .core import (
     AciConfig,
     AciState,
-    effective_quantile_level,
     empirical_miscoverage,
     init,
     prop_bound,
@@ -88,7 +87,6 @@ __all__ = [
     "average_coverage",
     "bernoulli_band",
     "bounds",
-    "effective_quantile_level",
     "empirical_miscoverage",
     "empirical_quantile",
     "err_indicator",

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -144,14 +145,18 @@ def _write_experiment_outputs(out: Path, report, local_window: int) -> None:
 
 def _run_volatility(args) -> int:
     config = _config_from_args(args)
+    metrics.check_local_window(args.local_window)
     out = _outdir(args)
+    prices_path = args.prices
     if args.synthetic is not None:
         rng = np.random.default_rng(args.seed)
         prices = volatility.default_regime_prices(args.synthetic, rng)
-        dates = [f"day-{i:05d}" for i in range(len(prices))]
-        io.write_prices(out / "prices.csv", dates, prices)
-    else:
-        dates, prices = io.read_prices(args.prices)
+        first = date(2000, 1, 1)
+        dates = [(first + timedelta(days=i)).isoformat() for i in range(len(prices))]
+        prices_path = out / "prices.csv"
+        io.write_prices(prices_path, dates, prices)
+    # Synthetic prices are read back so the run sees exactly what the file holds.
+    dates, prices = io.read_prices(prices_path)
     labels = dates[1:]
     report = volatility.run_volatility_experiment(
         prices, config, window=args.window, refit_every=args.refit_every, labels=labels
@@ -162,6 +167,7 @@ def _run_volatility(args) -> int:
 
 def _run_election(args) -> int:
     config = _config_from_args(args)
+    metrics.check_local_window(args.local_window)
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     if args.synthetic is not None:

@@ -154,17 +154,6 @@ class CqrScore:
         return PredictionInterval(lo, hi) if lo <= hi else EMPTY_INTERVAL
 
 
-ScoreContext = AbsoluteScore | NormalizedScore | CqrScore
-
-
-def compute_score(ctx: ScoreContext, y: float) -> float:
-    return ctx.score(y)
-
-
-def invert_to_interval(ctx: ScoreContext, threshold: float) -> PredictionInterval:
-    return ctx.interval(threshold)
-
-
 def err_indicator(score: float, threshold: float) -> int:
     """1 when the score strictly exceeds the threshold, else 0."""
     return 1 if score > threshold else 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .errors import ConfigurationError, DomainError, NoDataError
 
@@ -32,7 +31,7 @@ class AciConfig:
 
     Args:
         target_miscoverage: long-run miscoverage target, in (0, 1).
-        step_size: update gain gamma >= 0. Zero freezes the level and yields
+        step_size: finite update gain gamma >= 0. Zero freezes the level and yields
             the non-adaptive baseline.
         initial_level: starting level alpha_1 in [0, 1]. Defaults to the
             target itself.
@@ -51,8 +50,8 @@ class AciConfig:
             raise ConfigurationError(
                 f"target_miscoverage must lie in (0, 1), got {self.target_miscoverage}"
             )
-        if not self.step_size >= 0.0:
-            raise ConfigurationError(f"step_size must be >= 0, got {self.step_size}")
+        if not 0.0 <= self.step_size < math.inf:
+            raise ConfigurationError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.initial_level is None:
             object.__setattr__(self, "initial_level", self.target_miscoverage)
         if not 0.0 <= self.initial_level <= 1.0:
@@ -80,34 +79,6 @@ class AciState:
 def init(config: AciConfig) -> AciState:
     """Start a trajectory at the configured initial level."""
     return AciState(config=config, current_level=config.initial_level)
-
-
-LEVEL = "level"
-COVER_EVERYTHING = "cover_everything"
-COVER_NOTHING = "cover_nothing"
-
-
-class EffectiveLevel(NamedTuple):
-    """What the conformal quantile should do at the current level.
-
-    ``level`` is the argument to hand to the score-quantile function when
-    ``kind == "level"``; it is ``nan`` otherwise. A level below 0 means the
-    prediction set is the whole line (error forced to 0), above 1 it is empty
-    (error forced to 1).
-    """
-
-    kind: str
-    level: float = math.nan
-
-
-def effective_quantile_level(state: AciState) -> EffectiveLevel:
-    """Map alpha_t to the quantile level 1 - alpha_t, with out-of-range overrides."""
-    a = state.current_level
-    if a < 0.0:
-        return EffectiveLevel(COVER_EVERYTHING)
-    if a > 1.0:
-        return EffectiveLevel(COVER_NOTHING)
-    return EffectiveLevel(LEVEL, 1.0 - a)
 
 
 def update(state: AciState, err: int) -> AciState:

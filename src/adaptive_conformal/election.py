@@ -18,9 +18,9 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from . import core
-from .conformal import CqrScore, PredictionInterval, empirical_quantile, err_indicator
+from .conformal import CqrScore, PredictionInterval, empirical_quantile
 from .errors import ConfigurationError, DegenerateDataError, DomainError, NoDataError
-from .metrics import TrajectoryReport
+from .metrics import TrajectoryReport, replay
 
 logger = logging.getLogger(__name__)
 
@@ -293,36 +293,23 @@ def replay_prediction_stream(steps: list[CqrStep], aci_config: core.AciConfig) -
     Vote intervals are the affine image of the residual interval through
     ``y = y_prev * (1 + r)``.
     """
-    state = core.init(aci_config)
-    errs, alphas, intervals, labels = [], [], [], []
-    for step in steps:
-        ctx = CqrScore(step.q_lo, step.q_hi)
-        threshold = empirical_quantile(step.cal_scores, 1.0 - state.current_level)
-        err = err_indicator(ctx.score(step.residual), threshold)
-        level = core.effective_quantile_level(state)
-        if level.kind == core.COVER_EVERYTHING:
-            err = 0
-        elif level.kind == core.COVER_NOTHING:
-            err = 1
-        r_interval = ctx.interval(threshold)
+    contexts = [CqrScore(step.q_lo, step.q_hi) for step in steps]
+
+    def vote_interval(t: int, threshold: float) -> PredictionInterval:
+        r_interval = contexts[t].interval(threshold)
         if r_interval.is_empty:
-            vote_interval = r_interval
-        else:
-            vote_interval = PredictionInterval(
-                step.y_prev * (1.0 + r_interval.lower),
-                step.y_prev * (1.0 + r_interval.upper),
-            )
-        errs.append(err)
-        alphas.append(state.current_level)
-        intervals.append(vote_interval)
-        labels.append(step.label)
-        state = core.update(state, err)
-    return TrajectoryReport(
-        errs=np.array(errs, dtype=np.int8),
-        alphas=np.array(alphas),
-        intervals=tuple(intervals),
-        step_labels=tuple(labels),
-        config_echo=aci_config,
+            return r_interval
+        y_prev = steps[t].y_prev
+        return PredictionInterval(
+            y_prev * (1.0 + r_interval.lower), y_prev * (1.0 + r_interval.upper)
+        )
+
+    return replay(
+        aci_config,
+        [ctx.score(step.residual) for ctx, step in zip(contexts, steps)],
+        lambda t, p: empirical_quantile(steps[t].cal_scores, p),
+        vote_interval,
+        [step.label for step in steps],
     )
 
 

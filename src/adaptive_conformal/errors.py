@@ -64,7 +64,11 @@ class ValidationError(AdaptiveConformalError):
 
 
 class ExperimentAborted(AdaptiveConformalError):
-    """An experiment pipeline stopped early. Carries the partial report, flagged invalid."""
+    """An experiment pipeline stopped early.
+
+    Carries what was computed before the stop: the partial report, flagged
+    invalid, or the prefix of a forecast stream.
+    """
 
     def __init__(self, message: str, partial_report=None):
         super().__init__(message)

@@ -18,7 +18,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from . import bounds, core
-from .conformal import PredictionInterval, empirical_quantile, err_indicator
+from .conformal import PredictionInterval, empirical_quantile
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -26,7 +26,7 @@ from .errors import (
     NonReversibleChainError,
     RootFindingError,
 )
-from .metrics import TrajectoryReport
+from .metrics import TrajectoryReport, replay
 
 REVERSIBILITY_TOL = 1e-9
 ROOT_TOL = 1e-10
@@ -225,8 +225,11 @@ def run_level_batch(
     errs = np.empty((reps, horizon), dtype=np.int8)
     weighted = config.update_rule == core.WEIGHTED
     for t in range(horizon):
+        # A negative level covers the whole line. Levels never exceed 1, so a
+        # strict comparison already gives no error there; a non-strict one
+        # could, because 1 - a rounds to 1 for tiny negative a.
         p = 1.0 - a
-        err = levels[:, t] > p if strict else levels[:, t] >= p
+        err = levels[:, t] > p if strict else (levels[:, t] >= p) & (a >= 0.0)
         alphas[:, t] = a
         errs[:, t] = err
         if weighted:
@@ -247,27 +250,12 @@ def run_fixed_quantile_aci(
     ``(-inf, qhat(1 - alpha_t)]``; its bounds are recorded as the interval.
     """
     scores = np.asarray(scores, dtype=float)
-    state = core.init(config)
-    errs, alphas, intervals, labels = [], [], [], []
-    for t, s in enumerate(scores):
-        level = core.effective_quantile_level(state)
-        threshold = qhat(1.0 - state.current_level)
-        err = err_indicator(float(s), threshold)
-        if level.kind == core.COVER_EVERYTHING:
-            err = 0
-        elif level.kind == core.COVER_NOTHING:
-            err = 1
-        errs.append(err)
-        alphas.append(state.current_level)
-        intervals.append(PredictionInterval(-math.inf, threshold))
-        labels.append(str(t + 1))
-        state = core.update(state, err)
-    return TrajectoryReport(
-        errs=np.array(errs, dtype=np.int8),
-        alphas=np.array(alphas),
-        intervals=tuple(intervals),
-        step_labels=tuple(labels),
-        config_echo=config,
+    return replay(
+        config,
+        scores,
+        lambda t, p: qhat(p),
+        lambda t, threshold: PredictionInterval(-math.inf, threshold),
+        [str(t + 1) for t in range(scores.size)],
     )
 
 
@@ -333,17 +321,28 @@ def estimate_bias_terms(
     state across all replications. The max estimate is biased upward by noise,
     so per-state standard errors are reported alongside.
     """
+    return _stationary_bias(spec, qhat, config, reps, horizon, rng)[0]
+
+
+def _stationary_bias(spec, qhat, config, reps, horizon, rng):
+    """Bias plug-ins of ``reps`` batched runs, and the runs' (reps, horizon) error tail.
+
+    Each run discards a burn-in of ceil(20 / gamma) steps. Masks stay
+    two-dimensional: flattening the non-contiguous tail views would copy them.
+    """
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
     if config.step_size <= 0.0:
-        raise ConfigurationError("bias estimation needs a positive step size")
+        raise ConfigurationError("stationary runs need a positive step size")
     burn = math.ceil(20.0 / config.step_size)
     states, scores = simulate_hmm_batch(spec, burn + horizon, reps, rng)
+    # Each float array is (reps, burn + horizon); dropping it once used
+    # lowers peak memory by one such array.
     levels, strict = exceedance_levels(qhat, scores)
+    del scores
     _, errs = run_level_batch(config, levels, strict)
-    tail_states = states[:, burn:].ravel()
-    tail_errs = errs[:, burn:].ravel()
-    alpha = config.target_miscoverage
+    del levels
+    tail_states, tail_errs = states[:, burn:], errs[:, burn:]
     means = np.empty(spec.n_states)
     ses = np.empty(spec.n_states)
     for a in range(spec.n_states):
@@ -355,8 +354,8 @@ def estimate_bias_terms(
         means[a] = m
         ses[a] = math.sqrt(max(m * (1.0 - m), 1e-12) / n_a)
     pi = stationary_distribution(spec.transition)
-    dev = means - alpha
-    return BiasEstimate(
+    dev = means - config.target_miscoverage
+    estimate = BiasEstimate(
         b_hat=float(np.max(np.abs(dev))),
         sigma_b2_hat=float(np.sum(pi * dev**2)),
         per_state_err_mean=means,
@@ -364,6 +363,7 @@ def estimate_bias_terms(
         stationary=pi,
         n_samples=tail_errs.size,
     )
+    return estimate, tail_errs
 
 
 @dataclass(frozen=True)
@@ -406,28 +406,9 @@ def theory_suite(
     plug-ins and the per-replication exceedance frequencies; the bound values
     use the analytic spectral gap and oracle-level shift of the chain.
     """
-    if reps < 100:
-        raise ConfigurationError(f"need at least 100 replications, got {reps}")
-    if config.step_size <= 0.0:
-        raise ConfigurationError("the theory suite needs a positive step size")
     alpha = config.target_miscoverage
-    burn = math.ceil(20.0 / config.step_size)
-    states, scores = simulate_hmm_batch(spec, burn + horizon, reps, rng)
-    levels, strict = exceedance_levels(qhat, scores)
-    _, errs = run_level_batch(config, levels, strict)
-    tail_states = states[:, burn:]
-    tail_errs = errs[:, burn:]
-
-    pi = stationary_distribution(spec.transition)
-    means = np.empty(spec.n_states)
-    for a in range(spec.n_states):
-        mask = tail_states == a
-        if not mask.any():
-            raise DomainError(f"state {a} was never visited; increase reps or horizon")
-        means[a] = float(tail_errs[mask].mean())
-    dev = means - alpha
-    b_hat = float(np.max(np.abs(dev)))
-    sigma_b2_hat = float(np.sum(pi * dev**2))
+    bias, tail_errs = _stationary_bias(spec, qhat, config, reps, horizon, rng)
+    b_hat, sigma_b2_hat = bias.b_hat, bias.sigma_b2_hat
 
     gap = spectral_gap(spec.transition)
     alpha_star = per_state_alpha_star(spec, qhat, alpha)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conformal import PredictionInterval
 from .core import AciConfig
-from .errors import ParseError, ValidationError
+from .errors import ConfigurationError, ParseError, ValidationError
 from .metrics import CoverageSummary, TrajectoryReport, local_coverage
 
 PRICE_HEADER = ["date", "open"]
@@ -188,38 +188,51 @@ def write_trajectory(path, report: TrajectoryReport, local_window: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_meta(lines: list[str]) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for line in lines:
+def _parse_meta(lines: list[tuple[int, str]]) -> dict[str, tuple[str, int]]:
+    """Map each ``key=value`` token of the comment lines to (value, line number)."""
+    meta: dict[str, tuple[str, int]] = {}
+    for number, line in lines:
         for token in line[1:].split()[1:]:
             key, _, value = token.partition("=")
-            meta[key] = value
+            meta[key] = (value, number)
     return meta
 
 
 def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     """Inverse of ``write_trajectory``; returns the report and local window."""
     raw = Path(path).read_text(encoding="utf-8").splitlines()
-    comments = [l for l in raw if l.startswith("#")]
-    body = [l for l in raw if not l.startswith("#")]
-    meta = _parse_meta(comments)
+    meta = _parse_meta([(i, l) for i, l in enumerate(raw, start=1) if l.startswith("#")])
     required = {"target_miscoverage", "step_size", "initial_level", "update_rule", "decay"}
     if not required <= meta.keys():
         raise ParseError("missing configuration comment lines", line=1)
-    config = AciConfig(
-        target_miscoverage=float(meta["target_miscoverage"]),
-        step_size=float(meta["step_size"]),
-        initial_level=float(meta["initial_level"]),
-        update_rule=meta["update_rule"],
-        decay=float(meta["decay"]),
-    )
-    local_window = int(meta.get("local_window", "0"))
-    valid = meta.get("valid", "true") == "true"
-    rows = list(csv.reader(body))
-    if not rows or rows[0] != TRAJECTORY_HEADER:
-        raise ParseError(f"expected header {','.join(TRAJECTORY_HEADER)!r}", line=1)
+
+    def number(key: str) -> float:
+        return parse_number(*meta[key])
+
+    try:
+        config = AciConfig(
+            target_miscoverage=number("target_miscoverage"),
+            step_size=number("step_size"),
+            initial_level=number("initial_level"),
+            update_rule=meta["update_rule"][0],
+            decay=number("decay"),
+        )
+    except ConfigurationError as exc:
+        raise ValidationError(str(exc), line=meta["update_rule"][1]) from None
+    window_text, window_line = meta.get("local_window", ("0", 1))
+    try:
+        local_window = int(window_text)
+    except ValueError:
+        raise ParseError(f"local_window is not an integer: {window_text!r}",
+                         line=window_line) from None
+    valid = meta.get("valid", ("true", 1))[0] == "true"
+    numbers = [i for i, l in enumerate(raw, start=1) if not l.startswith("#")]
+    rows = csv.reader(raw[i - 1] for i in numbers)
+    if next(rows, None) != TRAJECTORY_HEADER:
+        line = numbers[0] if numbers else 1
+        raise ParseError(f"expected header {','.join(TRAJECTORY_HEADER)!r}", line=line)
     errs, alphas, intervals, labels = [], [], [], []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in zip(numbers[1:], rows):
         if len(row) != len(TRAJECTORY_HEADER):
             raise ParseError(f"expected {len(TRAJECTORY_HEADER)} columns, got {len(row)}", line=i)
         labels.append(row[1])

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import PredictionInterval
+from . import core
+from .conformal import PredictionInterval, err_indicator
 from .core import AciConfig, prop_bound
 from .errors import ConfigurationError, NoDataError
 
@@ -61,6 +62,35 @@ class TrajectoryReport:
         )
 
 
+def replay(config: AciConfig, scores, quantile_at, interval_at, labels) -> TrajectoryReport:
+    """Run the adaptive-level recursion over a level-independent prediction stream.
+
+    Step ``t`` realizes the conformity score ``scores[t]``. Its threshold is
+    ``quantile_at(t, 1 - alpha_t)``, or ``+inf`` (the whole line) when
+    ``alpha_t < 0``. That case is decided on ``alpha_t`` itself, because
+    ``1 - alpha_t`` rounds to 1 for tiny negative levels. The miss bit is
+    ``err_indicator(scores[t], threshold)`` and the recorded interval is
+    ``interval_at(t, threshold)``, so the two can never disagree.
+    """
+    state = core.init(config)
+    errs, alphas, intervals = [], [], []
+    for t, score in enumerate(scores):
+        a = state.current_level
+        threshold = math.inf if a < 0.0 else quantile_at(t, 1.0 - a)
+        err = err_indicator(score, threshold)
+        errs.append(err)
+        alphas.append(a)
+        intervals.append(interval_at(t, threshold))
+        state = core.update(state, err)
+    return TrajectoryReport(
+        errs=np.array(errs, dtype=np.int8),
+        alphas=np.array(alphas, dtype=float),
+        intervals=tuple(intervals),
+        step_labels=tuple(labels),
+        config_echo=config,
+    )
+
+
 @dataclass(frozen=True)
 class CoverageSummary:
     average_coverage: float
@@ -69,12 +99,17 @@ class CoverageSummary:
     prop_bound_satisfied: bool
 
 
+def check_local_window(window: int) -> None:
+    """Reject a centered-window size that is not a positive even integer."""
+    if window % 2 != 0 or window < 2:
+        raise ConfigurationError(f"window must be a positive even integer, got {window}")
+
+
 def local_coverage(errs, window: int) -> np.ndarray:
     """Windowed coverage series 1 - mean(errs over the centered window)."""
     errs = np.asarray(errs, dtype=float)
     n = errs.size
-    if window % 2 != 0 or window < 2:
-        raise ConfigurationError(f"window must be a positive even integer, got {window}")
+    check_local_window(window)
     if window > n:
         raise NoDataError(f"window {window} exceeds trajectory length {n}")
     cs = np.concatenate([[0.0], np.cumsum(errs)])

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import approx_fprime, minimize
 from scipy.signal import lfilter
 
 from . import core
-from .conformal import NormalizedScore, empirical_quantile, err_indicator
+from .conformal import NormalizedScore, empirical_quantile
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -27,7 +27,7 @@ from .errors import (
     ExperimentAborted,
     NoDataError,
 )
-from .metrics import TrajectoryReport
+from .metrics import TrajectoryReport, replay
 
 logger = logging.getLogger(__name__)
 
@@ -95,16 +95,25 @@ def garch_sigma2_path(
     if returns.size == 0:
         raise NoDataError("empty return series")
     s0 = float(np.var(returns)) if sigma2_init is None else float(sigma2_init)
+    path = _sigma2_path(params.omega, params.arch_coef, params.garch_coef, returns, s0)
+    if path is None:
+        raise DomainError(
+            f"conditional variance is not finite or fell below {SIGMA2_FLOOR:g}; "
+            "data or parameters degenerate"
+        )
+    return path
+
+
+def _sigma2_path(omega, a, b, returns, s0):
+    """Variance path without object construction; None when it degenerates."""
     if returns.size == 1:
         path = np.array([s0])
     else:
-        drive = params.omega + params.arch_coef * returns[:-1] ** 2
-        rest, _ = lfilter([1.0], [1.0, -params.garch_coef], drive, zi=[params.garch_coef * s0])
+        drive = omega + a * returns[:-1] ** 2
+        rest, _ = lfilter([1.0], [1.0, -b], drive, zi=[b * s0])
         path = np.concatenate([[s0], rest])
-    if np.min(path) < SIGMA2_FLOOR:
-        raise DomainError(
-            f"conditional variance fell below {SIGMA2_FLOOR:g}; data or parameters degenerate"
-        )
+    if not np.all(np.isfinite(path)) or np.min(path) < SIGMA2_FLOOR:
+        return None
     return path
 
 
@@ -155,7 +164,7 @@ def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
         omega, a, b = _unpack(x)
         if not (np.isfinite(omega) and omega > 0.0):
             return 1e12
-        path = _sigma2_path_raw(omega, a, b, returns, sample_var)
+        path = _sigma2_path(omega, a, b, returns, sample_var)
         if path is None:
             return 1e12
         return float(0.5 * np.sum(np.log(2.0 * math.pi * path) + returns**2 / path))
@@ -194,19 +203,6 @@ def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
             best=fit,
         )
     return fit
-
-
-def _sigma2_path_raw(omega, a, b, returns, s0):
-    """Variance path without object construction; None when it degenerates."""
-    if returns.size == 1:
-        path = np.array([s0])
-    else:
-        drive = omega + a * returns[:-1] ** 2
-        rest, _ = lfilter([1.0], [1.0, -b], drive, zi=[b * s0])
-        path = np.concatenate([[s0], rest])
-    if not np.all(np.isfinite(path)) or np.min(path) < SIGMA2_FLOOR:
-        return None
-    return path
 
 
 def simulate_garch_returns(
@@ -286,6 +282,71 @@ def default_regime_prices(
     return simulate_garch_prices(n_days, regimes, rng, initial_price=initial_price)
 
 
+def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np.ndarray]:
+    """GARCH variance forecasts and conformity scores for every prediction step.
+
+    Step ``k`` predicts return ``window + k``. The trailing ``window``
+    returns are (re)fit every ``refit_every`` steps and the variance forecast
+    ``sigma2[k]`` is rolled forward every step. ``history`` holds the first
+    fit's in-sample scores followed by one score per step, so the
+    calibration window of step ``k`` is ``history[k : k + window]``. Nothing
+    here depends on the adaptive level, so one stream can be replayed under
+    several calibration policies.
+
+    A failed fit raises ``ExperimentAborted`` whose ``partial_report`` is the
+    ``(sigma2, history)`` prefix computed before it.
+    """
+    rets = np.asarray(rets, dtype=float)
+    n = rets.size
+    if window < MIN_FIT_LENGTH:
+        raise ConfigurationError(f"window must be at least {MIN_FIT_LENGTH}")
+    if refit_every < 1:
+        raise ConfigurationError("refit_every must be >= 1")
+    if n <= window:
+        raise NoDataError(f"need more than window = {window} returns, got {n}")
+    vol = rets**2
+    sigma2 = np.empty(n - window)
+    history = np.full(n, math.nan)
+    for step in range(n - window):
+        t = window + step
+        if step % refit_every == 0:
+            try:
+                fit = fit_garch(rets[t - window : t])
+            except (ConvergenceError, DegenerateDataError, DomainError) as exc:
+                prefix = (sigma2[:step], history[:t])
+                raise ExperimentAborted(f"GARCH fit failed at step {step}: {exc}", prefix) from exc
+            s = float(fit.sigma2_path[-1])
+            if step == 0:
+                history[:window] = np.abs(vol[:window] - fit.sigma2_path) / fit.sigma2_path
+        s = forecast_next_sigma2(fit.params, vol[t - 1], s)
+        sigma2[step] = s
+        history[t] = abs(vol[t] - s) / s
+    return sigma2, history
+
+
+def replay_forecast_stream(
+    sigma2: np.ndarray,
+    history: np.ndarray,
+    aci_config: core.AciConfig,
+    labels: list[str] | None = None,
+) -> TrajectoryReport:
+    """Run the adaptive-level recursion over a precomputed volatility stream.
+
+    ``labels`` has one entry per return (default: its 1-based index); each
+    step carries the label of the return it predicts.
+    """
+    window = history.size - sigma2.size
+    if labels is None:
+        labels = [str(t) for t in range(1, history.size + 1)]
+    return replay(
+        aci_config,
+        history[window:],
+        lambda k, p: empirical_quantile(history[k : k + window], p),
+        lambda k, threshold: NormalizedScore(sigma2[k]).interval(threshold),
+        labels[window : history.size],
+    )
+
+
 def run_volatility_experiment(
     prices,
     aci_config: core.AciConfig,
@@ -303,72 +364,12 @@ def run_volatility_experiment(
     mix in-sample scores from the first fit with later out-of-sample ones.
     """
     rets = returns_from_prices(prices)
-    n = rets.size
-    if window < MIN_FIT_LENGTH:
-        raise ConfigurationError(f"window must be at least {MIN_FIT_LENGTH}")
-    if refit_every < 1:
-        raise ConfigurationError("refit_every must be >= 1")
-    if n <= window:
-        raise NoDataError(
-            f"need more than window + 1 = {window + 1} prices, got {len(prices)}"
-        )
-    if labels is None:
-        labels = [str(i) for i in range(1, len(prices))]
-    elif len(labels) != n:
+    if labels is not None and len(labels) != rets.size:
         raise ConfigurationError("labels must have one entry per return")
-
-    vol = rets**2
-    state = core.init(aci_config)
-    errs, alphas, intervals, used_labels = [], [], [], []
-
-    def partial_report(message: str) -> TrajectoryReport:
-        return TrajectoryReport(
-            errs=np.array(errs, dtype=np.int8),
-            alphas=np.array(alphas),
-            intervals=tuple(intervals),
-            step_labels=tuple(used_labels),
-            config_echo=aci_config,
-            valid=False,
-            failure=message,
-        )
-
-    fit = None
-    sigma2_prev = None
-    scores: list[float] = []
-    for t in range(window, n):
-        step = t - window
-        if step % refit_every == 0:
-            try:
-                fit = fit_garch(rets[t - window : t])
-            except (ConvergenceError, DegenerateDataError, DomainError) as exc:
-                raise ExperimentAborted(
-                    f"GARCH fit failed at step {step}: {exc}", partial_report(str(exc))
-                ) from exc
-            sigma2_prev = float(fit.sigma2_path[-1])
-            if step == 0:
-                # Seed the score window with the first fit's in-sample scores.
-                scores = list(np.abs(vol[:window] - fit.sigma2_path) / fit.sigma2_path)
-        sigma2_hat = forecast_next_sigma2(fit.params, vol[t - 1], sigma2_prev)
-        ctx = NormalizedScore(sigma2_hat)
-        level = core.effective_quantile_level(state)
-        threshold = empirical_quantile(scores[-window:], 1.0 - state.current_level)
-        score = ctx.score(vol[t])
-        err = err_indicator(score, threshold)
-        if level.kind == core.COVER_EVERYTHING:
-            err = 0
-        elif level.kind == core.COVER_NOTHING:
-            err = 1
-        errs.append(err)
-        alphas.append(state.current_level)
-        intervals.append(ctx.interval(threshold))
-        used_labels.append(labels[t])
-        scores.append(score)
-        state = core.update(state, err)
-        sigma2_prev = sigma2_hat
-    return TrajectoryReport(
-        errs=np.array(errs, dtype=np.int8),
-        alphas=np.array(alphas),
-        intervals=tuple(intervals),
-        step_labels=tuple(used_labels),
-        config_echo=aci_config,
-    )
+    try:
+        stream = forecast_stream(rets, window, refit_every)
+    except ExperimentAborted as exc:
+        partial = replay_forecast_stream(*exc.partial_report, aci_config, labels)
+        exc.partial_report = replace(partial, valid=False, failure=str(exc.__cause__))
+        raise
+    return replay_forecast_stream(*stream, aci_config, labels)

@@ -43,7 +43,9 @@ from adaptive_conformal.volatility import (
     GarchParams,
     default_regime_prices,
     fit_garch,
-    run_volatility_experiment,
+    forecast_stream,
+    replay_forecast_stream,
+    returns_from_prices,
     simulate_garch_returns,
 )
 
@@ -238,12 +240,10 @@ def test_c09_volatility_pipeline_beats_frozen_baseline():
     with Stopwatch("9 volatility-pipeline", 300):
         prices = default_regime_prices(5000, np.random.default_rng(0))
         window, refit_every = 2000, 5
-        adaptive = run_volatility_experiment(
-            prices, AciConfig(0.1, 0.005), window=window, refit_every=refit_every
-        )
-        frozen = run_volatility_experiment(
-            prices, AciConfig(0.1, 0.0), window=window, refit_every=refit_every
-        )
+        # Both runs replay one set of GARCH fits: the stream ignores the level.
+        stream = forecast_stream(returns_from_prices(prices), window, refit_every)
+        adaptive = replay_forecast_stream(*stream, AciConfig(0.1, 0.005))
+        frozen = replay_forecast_stream(*stream, AciConfig(0.1, 0.0))
         n = len(adaptive)
         lower, upper = bernoulli_band(n, 0.1, 500, 3000, 0.99, np.random.default_rng(0))
         cov_a = 1.0 - float(adaptive.errs.mean())

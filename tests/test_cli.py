@@ -34,6 +34,21 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["report", "--in", str(tmp_path / "missing.csv")]) == 1
 
+    def test_infinite_step_size_is_data_error(self, tmp_path, price_file):
+        assert run([
+            "volatility", "--prices", str(price_file), "--window", "60",
+            "--gamma", "inf", "--out", str(tmp_path / "out"),
+        ]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["volatility", "--synthetic", "400", "--window", "100"],
+        ["election", "--synthetic", "640", "--covariates", "3", "--warmup", "500"],
+    ])
+    def test_odd_local_window_fails_before_running(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(command + ["--local-window", "51", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close\n2020-01-01,5\n")
@@ -69,13 +84,13 @@ class TestVolatilityCommand:
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
     def test_synthetic_source(self, tmp_path):
-        out = tmp_path / "out"
-        code = run([
-            "volatility", "--synthetic", "400", "--window", "100",
-            "--refit-every", "50", "--seed", "9", "--out", str(out),
-        ])
-        assert code == 0
-        assert (out / "prices.csv").exists()
+        common = ["volatility", "--window", "100", "--refit-every", "50", "--seed", "9"]
+        synthetic, replayed = tmp_path / "synthetic", tmp_path / "replayed"
+        assert run(common + ["--synthetic", "400", "--out", str(synthetic)]) == 0
+        prices = synthetic / "prices.csv"
+        assert run(common + ["--prices", str(prices), "--out", str(replayed)]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (synthetic / name).read_bytes() == (replayed / name).read_bytes()
 
     def test_weighted_update_rule(self, tmp_path, price_file):
         out_s, out_w = tmp_path / "s", tmp_path / "w"

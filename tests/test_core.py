@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from adaptive_conformal.core import (
-    COVER_EVERYTHING,
-    COVER_NOTHING,
-    LEVEL,
     AciConfig,
-    effective_quantile_level,
     empirical_miscoverage,
     init,
     prop_bound,
@@ -51,29 +47,12 @@ class TestConfig:
             dict(target_miscoverage=0.1, update_rule="weighted", decay=1.0),
             dict(target_miscoverage=0.1, update_rule="weighted", decay=0.0),
             dict(target_miscoverage=0.1, update_rule="momentum"),
+            dict(target_miscoverage=0.1, step_size=math.inf),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             AciConfig(**kwargs)
-
-
-class TestEffectiveLevel:
-    def test_in_range(self):
-        cfg = AciConfig(0.1)
-        lvl = effective_quantile_level(init(cfg))
-        assert lvl.kind == LEVEL
-        assert lvl.level == pytest.approx(0.9, abs=0)
-
-    def test_below_zero_covers_everything(self):
-        state = init(AciConfig(0.1)).__class__(
-            config=AciConfig(0.1), current_level=-0.002
-        )
-        assert effective_quantile_level(state).kind == COVER_EVERYTHING
-
-    def test_above_one_covers_nothing(self):
-        state = init(AciConfig(0.1)).__class__(config=AciConfig(0.1), current_level=1.01)
-        assert effective_quantile_level(state).kind == COVER_NOTHING
 
 
 class TestSimpleUpdate:

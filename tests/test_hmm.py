@@ -137,17 +137,28 @@ class TestFixedQuantileRunner:
         n = len(rep)
         assert abs(float(np.mean(rep.errs)) - 0.1) <= (0.6 + 0.01) / (n * 0.01)
 
-    @pytest.mark.parametrize("qhat", [NormalQuantile(0.3, 1.4), EmpiricalQuantile(np.linspace(-2, 2, 157))])
-    def test_batch_runner_matches_scalar_runner(self, qhat):
-        rng = np.random.default_rng(17)
-        cfg = AciConfig(0.1, 0.02, initial_level=0.35)
-        scores = rng.normal(size=(4, 600))
+    RANDOM_CFG = AciConfig(0.1, 0.02, initial_level=0.35)
+    RANDOM_SCORES = np.random.default_rng(17).normal(size=(4, 600))
+
+    @pytest.mark.parametrize("qhat,cfg,scores", [
+        pytest.param(NormalQuantile(0.3, 1.4), RANDOM_CFG, RANDOM_SCORES, id="qhat0"),
+        pytest.param(EmpiricalQuantile(np.linspace(-2, 2, 157)), RANDOM_CFG, RANDOM_SCORES,
+                     id="qhat1"),
+        # The third level is 0.04 - 0.04 = -6.9e-18, for which 1 - alpha_t rounds
+        # to 1: the set must still be the whole line, not (-inf, max score].
+        pytest.param(EmpiricalQuantile(np.array([0.0, 1.0, 2.0])),
+                     AciConfig(0.2, 0.05, initial_level=0.03), np.array([[-5.0, 5.0, 5.0]]),
+                     id="level-just-below-zero"),
+    ])
+    def test_batch_runner_matches_scalar_runner(self, qhat, cfg, scores):
         levels, strict = exceedance_levels(qhat, scores)
         alphas, errs = run_level_batch(cfg, levels, strict)
-        for r in range(4):
+        for r in range(len(scores)):
             rep = run_fixed_quantile_aci(scores[r], qhat, cfg)
             np.testing.assert_array_equal(errs[r], rep.errs)
             np.testing.assert_array_equal(alphas[r], rep.alphas)
+            for a, iv in zip(rep.alphas, rep.intervals):
+                assert iv.is_whole_line == (a < 0.0)
 
     def test_batch_runner_weighted_rule_matches_updates(self):
         cfg = AciConfig(0.2, 0.01, update_rule="weighted", decay=0.9)

@@ -151,6 +151,19 @@ class TestTrajectory:
         with pytest.raises(ParseError):
             read_trajectory(path)
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("target_miscoverage=0.1", "target_miscoverage=abc", 1),
+        ("local_window=4", "local_window=x", 2),
+        ("target_miscoverage=0.1", "target_miscoverage=2", 1),
+    ])
+    def test_bad_metadata_names_line(self, tmp_path, old, new, line):
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10), local_window=4)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises((ParseError, ValidationError)) as err:
+            read_trajectory(path)
+        assert err.value.line == line
+
     def test_header_mismatch(self, tmp_path):
         report = make_report(n=10)
         path = tmp_path / "t.csv"
@@ -167,5 +180,6 @@ class TestTrajectory:
         text = path.read_text().splitlines()
         text[3] = text[3].replace(",0,", ",2,", 1)
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as err:
             read_trajectory(path)
+        assert err.value.line == 4

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from adaptive_conformal.volatility import (
     GarchParams,
     fit_garch,
     forecast_next_sigma2,
+    forecast_stream,
     garch_neg_loglik,
     garch_sigma2_path,
+    replay_forecast_stream,
     returns_from_prices,
     run_volatility_experiment,
     simulate_garch_prices,
@@ -244,3 +247,23 @@ class TestExperiment:
         partial = err.value.partial_report
         assert partial is not None and not partial.valid
         assert len(partial) == 0  # failed on the very first fit
+
+    def test_late_fit_failure_keeps_the_replayed_prefix(self):
+        # Flat prices from day 100 on make the refit windows degenerate.
+        head = self._prices(100)
+        prices = np.concatenate([head, np.full(100, head[-1])])
+        with pytest.raises(ExperimentAborted) as err:
+            run_volatility_experiment(prices, self.CONFIG, window=60, refit_every=5)
+        partial = err.value.partial_report
+        steps = len(partial)
+        assert steps > 0 and steps % 5 == 0 and not partial.valid
+        clean = run_volatility_experiment(prices[: 61 + steps], self.CONFIG, window=60,
+                                          refit_every=5)
+        assert replace(partial, valid=True) == clean
+
+    def test_stream_replay_matches_direct_run(self):
+        prices = self._prices(260, seed=43)
+        stream = forecast_stream(returns_from_prices(prices), 60, 5)
+        for config in (self.CONFIG, AciConfig(0.1, 0.0)):
+            direct = run_volatility_experiment(prices, config, window=60, refit_every=5)
+            assert replay_forecast_stream(*stream, config) == direct
