@@ -10,7 +10,6 @@ Every command is deterministic given ``--seed``. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -170,12 +169,13 @@ def _run_election(args) -> int:
     metrics.check_local_window(args.local_window)
     out = _outdir(args)
     rng = np.random.default_rng(args.seed)
+    counties_path = args.counties
     if args.synthetic is not None:
-        counties = election.generate_synthetic_counties(args.synthetic, args.covariates,
-                                                        seed=args.seed)
-        io.write_counties(out / "counties.csv", counties)
-    else:
-        counties = io.read_counties(args.counties)
+        counties_path = out / "counties.csv"
+        io.write_counties(counties_path, election.generate_synthetic_counties(
+            args.synthetic, args.covariates, seed=args.seed))
+    # Synthetic counties are read back so the run sees exactly what the file holds.
+    counties = io.read_counties(counties_path)
     populations = np.array([c.population for c in counties])
     ordering = election.sample_ordering(populations, args.sigma, rng)
     report = election.run_election_experiment(
@@ -232,12 +232,11 @@ def _run_report(args) -> int:
     if window < 2:
         window = metrics.VOLATILITY_WINDOW
     summary = metrics.summarize(report, window)
-    payload = io.round_trip_floats(io.summary_payload(summary, report, window))
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    payload = io.summary_payload(summary, report, window)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        io.write_json(args.out, payload)
     else:
-        print(text)
+        print(io.json_text(payload), end="")
     return 0
 
 

@@ -8,7 +8,9 @@ Three score families are supported:
 
 Each family knows how to score a candidate label and how to invert a score
 threshold back into an explicit interval, so membership checks and error
-indicators are always two views of the same inequality.
+indicators are always two views of the same inequality. Every family works
+elementwise on numpy arrays (a float is the 0-d case), so one object and one
+call score or invert a whole trajectory.
 """
 
 from __future__ import annotations
@@ -28,29 +30,42 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """A closed interval on the extended real line; ``lower > upper`` means empty."""
+    """Closed intervals on the extended real line, elementwise.
 
-    lower: float
-    upper: float
+    ``lower`` and ``upper`` are floats or equal-shape arrays. An entry with
+    ``lower > upper`` is empty; the score families write it ``(inf, -inf)``.
+    """
+
+    lower: float | np.ndarray
+    upper: float | np.ndarray
 
     @property
-    def is_empty(self) -> bool:
+    def is_empty(self):
         return self.lower > self.upper
 
     @property
-    def is_whole_line(self) -> bool:
-        return self.lower == -INF and self.upper == INF
+    def is_whole_line(self):
+        return (self.lower == -INF) & (self.upper == INF)
 
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
+    def contains(self, y):
+        return (self.lower <= y) & (y <= self.upper)
 
     @property
-    def width(self) -> float:
-        return self.upper - self.lower if not self.is_empty else 0.0
+    def width(self):
+        return np.where(self.is_empty, 0.0, self.upper - self.lower)[()]
 
 
 EMPTY_INTERVAL = PredictionInterval(INF, -INF)
 WHOLE_LINE = PredictionInterval(-INF, INF)
+
+
+def _columns(lower, upper) -> PredictionInterval:
+    """Intervals with every empty entry (``lower > upper``) written ``(inf, -inf)``.
+
+    Indexing with ``[()]`` turns a 0-d result into a scalar and leaves arrays as they are.
+    """
+    empty = lower > upper
+    return PredictionInterval(np.where(empty, INF, lower)[()], np.where(empty, -INF, upper)[()])
 
 
 def empirical_quantile(scores, p: float) -> float:
@@ -83,17 +98,13 @@ def empirical_quantile(scores, p: float) -> float:
 class AbsoluteScore:
     """Distance of the label from a point prediction."""
 
-    point_prediction: float
+    point_prediction: float | np.ndarray
 
-    def score(self, y: float) -> float:
-        return abs(self.point_prediction - y)
+    def score(self, y):
+        return np.abs(self.point_prediction - y)
 
-    def interval(self, threshold: float) -> PredictionInterval:
-        if threshold == INF:
-            return WHOLE_LINE
-        lo = self.point_prediction - threshold
-        hi = self.point_prediction + threshold
-        return PredictionInterval(lo, hi) if lo <= hi else EMPTY_INTERVAL
+    def interval(self, threshold) -> PredictionInterval:
+        return _columns(self.point_prediction - threshold, self.point_prediction + threshold)
 
 
 @dataclass(frozen=True)
@@ -101,57 +112,52 @@ class NormalizedScore:
     """Relative distance of the label from a positive variance forecast.
 
     The inverted interval is clipped at 0 because realized volatility is
-    nonnegative; the clip only removes points no score can reach.
+    nonnegative; the clip only removes points no score can reach. An
+    infinite threshold still gives the whole line.
     """
 
-    sigma2: float
+    sigma2: float | np.ndarray
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise DomainError(f"variance forecast must be positive, got {self.sigma2}")
+        if not np.greater(self.sigma2, 0.0).all():
+            raise DomainError(
+                f"variance forecast must be positive, got {np.min(self.sigma2)}"
+            )
 
-    def score(self, y: float) -> float:
-        return abs(y - self.sigma2) / self.sigma2
+    def score(self, y):
+        return np.abs(y - self.sigma2) / self.sigma2
 
-    def interval(self, threshold: float) -> PredictionInterval:
-        if threshold == INF:
-            return WHOLE_LINE
-        lo = self.sigma2 * (1.0 - threshold)
-        hi = self.sigma2 * (1.0 + threshold)
-        if lo > hi:
-            return EMPTY_INTERVAL
-        return PredictionInterval(max(0.0, lo), hi)
+    def interval(self, threshold) -> PredictionInterval:
+        lower = self.sigma2 * (1.0 - threshold)
+        lower = np.where(threshold == INF, lower, np.maximum(0.0, lower))
+        return _columns(lower, self.sigma2 * (1.0 + threshold))
 
 
 @dataclass(frozen=True)
 class CqrScore:
     """Signed distance of the label outside a lower/upper quantile pair.
 
-    Crossing fits (lower above upper) are repaired by sorting, which is a
-    known artifact of quantile regression rather than a user error.
+    Crossing fits (lower above upper) are repaired by swapping the pair,
+    which is a known artifact of quantile regression rather than a user error.
     """
 
-    q_lo: float
-    q_hi: float
+    q_lo: float | np.ndarray
+    q_hi: float | np.ndarray
 
     def __post_init__(self):
-        if self.q_lo > self.q_hi:
-            logger.warning(
-                "crossing quantile pair (%.6g > %.6g); swapping", self.q_lo, self.q_hi
-            )
-            lo, hi = self.q_hi, self.q_lo
+        crossing = self.q_lo > self.q_hi
+        n_crossing = np.count_nonzero(crossing)
+        if n_crossing:
+            logger.warning("swapping %d crossing quantile pair(s)", n_crossing)
+            lo, hi = np.minimum(self.q_lo, self.q_hi), np.maximum(self.q_lo, self.q_hi)
             object.__setattr__(self, "q_lo", lo)
             object.__setattr__(self, "q_hi", hi)
 
-    def score(self, y: float) -> float:
-        return max(self.q_lo - y, y - self.q_hi)
+    def score(self, y):
+        return np.maximum(self.q_lo - y, y - self.q_hi)
 
-    def interval(self, threshold: float) -> PredictionInterval:
-        if threshold == INF:
-            return WHOLE_LINE
-        lo = self.q_lo - threshold
-        hi = self.q_hi + threshold
-        return PredictionInterval(lo, hi) if lo <= hi else EMPTY_INTERVAL
+    def interval(self, threshold) -> PredictionInterval:
+        return _columns(self.q_lo - threshold, self.q_hi + threshold)
 
 
 def err_indicator(score: float, threshold: float) -> int:

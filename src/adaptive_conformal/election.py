@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
 from . import core
-from .conformal import CqrScore, PredictionInterval, empirical_quantile
+from .conformal import CqrScore, empirical_quantile
 from .errors import ConfigurationError, DegenerateDataError, DomainError, NoDataError
 from .metrics import TrajectoryReport, replay
 
@@ -198,27 +199,23 @@ def generate_synthetic_counties(n: int, d: int = 11, seed: int = 0) -> list[Coun
     ]
 
 
-def _standardize(train):
-    mean = train.mean(axis=0)
-    scale = train.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    return mean, scale
+class CqrStream(NamedTuple):
+    """Level-independent CQR columns, one entry per prediction step.
 
-
-@dataclass(frozen=True)
-class CqrStep:
-    """Per-county CQR state once the quantile models and split are fixed.
-
-    Everything here is independent of the adaptive level, so one stream can
-    be replayed under several calibration policies.
+    Step ``k`` predicts county ``labels[k]`` with residual quantile pair
+    ``(q_lo[k], q_hi[k])`` and is calibrated on
+    ``cal_scores[k // refit_every]``, the scores of the fit in force. Nothing
+    here depends on the adaptive level, so one stream can be replayed under
+    several calibration policies.
     """
 
-    label: str
-    y_prev: float
-    residual: float
-    q_lo: float
-    q_hi: float
-    cal_scores: np.ndarray
+    labels: tuple[str, ...]
+    y_prev: np.ndarray
+    residual: np.ndarray
+    q_lo: np.ndarray
+    q_hi: np.ndarray
+    cal_scores: list[np.ndarray]
+    refit_every: int
 
 
 def cqr_prediction_stream(
@@ -229,13 +226,14 @@ def cqr_prediction_stream(
     cal_frac: float = 0.25,
     refit_every: int = 1,
     rng: np.random.Generator | None = None,
-) -> list[CqrStep]:
+) -> CqrStream:
     """Quantile fits and calibration scores for every prediction step.
 
     Predictions start once ``warmup`` counties have been observed. Each refit
     draws a fresh random train/calibration split of all observed counties,
     fits lower/upper quantile models at alpha/2 and 1 - alpha/2 on
-    standardized covariates, and scores the calibration set.
+    standardized covariates, scores the calibration set with ``CqrScore``,
+    and predicts the quantile pairs of the steps up to the next refit.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -255,61 +253,49 @@ def cqr_prediction_stream(
     seq = [counties[i] for i in ordering]
     design = np.array([c.covariates for c in seq])
     residuals = np.array([c.residual for c in seq])
-
-    steps: list[CqrStep] = []
-    lo_model = hi_model = None
-    cal_scores = None
-    mean = scale = None
-    for t in range(warmup, n):
-        if (t - warmup) % refit_every == 0:
-            n_train = int(math.floor(t * (1.0 - cal_frac)))
-            perm = rng.permutation(t)
-            train_idx, cal_idx = perm[:n_train], perm[n_train:]
-            mean, scale = _standardize(design[train_idx])
-            x_train = (design[train_idx] - mean) / scale
-            lo_model = fit_quantile_regression(x_train, residuals[train_idx], alpha / 2.0)
-            hi_model = fit_quantile_regression(x_train, residuals[train_idx], 1.0 - alpha / 2.0)
-            x_cal = (design[cal_idx] - mean) / scale
-            q_lo_cal = lo_model.predict(x_cal)
-            q_hi_cal = hi_model.predict(x_cal)
-            cal_scores = np.maximum(q_lo_cal - residuals[cal_idx], residuals[cal_idx] - q_hi_cal)
-        x_t = (design[t] - mean) / scale
-        steps.append(
-            CqrStep(
-                label=seq[t].id,
-                y_prev=seq[t].y_prev,
-                residual=residuals[t],
-                q_lo=float(lo_model.predict(x_t)[0]),
-                q_hi=float(hi_model.predict(x_t)[0]),
-                cal_scores=cal_scores,
-            )
-        )
-    return steps
+    q_lo, q_hi = np.empty(n - warmup), np.empty(n - warmup)
+    cal_scores = []
+    for start in range(warmup, n, refit_every):
+        n_train = int(math.floor(start * (1.0 - cal_frac)))
+        perm = rng.permutation(start)
+        train_idx, cal_idx = perm[:n_train], perm[n_train:]
+        train = design[train_idx]
+        mean, scale = train.mean(axis=0), train.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        x_train = (train - mean) / scale
+        lo_model = fit_quantile_regression(x_train, residuals[train_idx], alpha / 2.0)
+        hi_model = fit_quantile_regression(x_train, residuals[train_idx], 1.0 - alpha / 2.0)
+        x_cal = (design[cal_idx] - mean) / scale
+        cal = CqrScore(lo_model.predict(x_cal), hi_model.predict(x_cal))
+        cal_scores.append(cal.score(residuals[cal_idx]))
+        for t in range(start, min(start + refit_every, n)):
+            x_t = (design[t] - mean) / scale
+            q_lo[t - warmup] = lo_model.predict(x_t)[0]
+            q_hi[t - warmup] = hi_model.predict(x_t)[0]
+    predicted = seq[warmup:]
+    return CqrStream(tuple(c.id for c in predicted), np.array([c.y_prev for c in predicted]),
+                     residuals[warmup:], q_lo, q_hi, cal_scores, refit_every)
 
 
-def replay_prediction_stream(steps: list[CqrStep], aci_config: core.AciConfig) -> TrajectoryReport:
+def replay_prediction_stream(stream: CqrStream, aci_config: core.AciConfig) -> TrajectoryReport:
     """Run the adaptive-level recursion over a precomputed CQR stream.
 
-    Vote intervals are the affine image of the residual interval through
-    ``y = y_prev * (1 + r)``.
+    Vote intervals are the affine image of the residual intervals through
+    ``y = y_prev * (1 + r)``; as ``y_prev > 0`` it maps an empty
+    ``(inf, -inf)`` entry to itself.
     """
-    contexts = [CqrScore(step.q_lo, step.q_hi) for step in steps]
-
-    def vote_interval(t: int, threshold: float) -> PredictionInterval:
-        r_interval = contexts[t].interval(threshold)
-        if r_interval.is_empty:
-            return r_interval
-        y_prev = steps[t].y_prev
-        return PredictionInterval(
-            y_prev * (1.0 + r_interval.lower), y_prev * (1.0 + r_interval.upper)
-        )
-
-    return replay(
+    residual_sets = CqrScore(stream.q_lo, stream.q_hi)
+    report = replay(
         aci_config,
-        [ctx.score(step.residual) for ctx, step in zip(contexts, steps)],
-        lambda t, p: empirical_quantile(steps[t].cal_scores, p),
-        vote_interval,
-        [step.label for step in steps],
+        residual_sets.score(stream.residual),
+        lambda k, p: empirical_quantile(stream.cal_scores[k // stream.refit_every], p),
+        residual_sets.interval,
+        stream.labels,
+    )
+    return replace(
+        report,
+        lower=stream.y_prev * (1.0 + report.lower),
+        upper=stream.y_prev * (1.0 + report.upper),
     )
 
 

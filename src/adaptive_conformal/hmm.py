@@ -254,7 +254,7 @@ def run_fixed_quantile_aci(
         config,
         scores,
         lambda t, p: qhat(p),
-        lambda t, threshold: PredictionInterval(-math.inf, threshold),
+        lambda thresholds: PredictionInterval(np.full(scores.size, -math.inf), thresholds),
         [str(t + 1) for t in range(scores.size)],
     )
 

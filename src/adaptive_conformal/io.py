@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import PredictionInterval
 from .core import AciConfig
 from .errors import ConfigurationError, ParseError, ValidationError
 from .metrics import CoverageSummary, TrajectoryReport, local_coverage
@@ -55,9 +54,13 @@ def round_trip_floats(obj):
     return obj
 
 
+def json_text(payload: dict) -> str:
+    """The JSON document every command writes: 12-digit floats, sorted keys."""
+    return json.dumps(round_trip_floats(payload), sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(round_trip_floats(payload), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(payload), encoding="utf-8")
 
 
 def read_prices(path) -> tuple[list[str], np.ndarray]:
@@ -160,31 +163,27 @@ def _config_meta(config: AciConfig) -> str:
 def write_trajectory(path, report: TrajectoryReport, local_window: int) -> None:
     """Serialize a trajectory with its configuration echoed in comment lines."""
     n = len(report)
-    local = np.full(n, math.nan)
+    local = [""] * n
     if 2 <= local_window <= n and local_window % 2 == 0:
-        values = local_coverage(report.errs, local_window)
-        local[local_window // 2 - 1 : local_window // 2 - 1 + len(values)] = values
+        first = local_window // 2 - 1
+        local[first : first + n - local_window + 1] = map(
+            format_number, local_coverage(report.errs, local_window).tolist()
+        )
+    rows = zip(
+        map(str, range(1, n + 1)),
+        report.step_labels,
+        map(format_number, report.alphas.tolist()),
+        map(str, report.errs.tolist()),
+        map(format_number, report.lower.tolist()),
+        map(format_number, report.upper.tolist()),
+        local,
+    )
     lines = [
         _config_meta(report.config_echo),
         f"# run local_window={local_window} valid={str(report.valid).lower()}",
         ",".join(TRAJECTORY_HEADER),
     ]
-    for i in range(n):
-        iv = report.intervals[i]
-        cov = "" if math.isnan(local[i]) else format_number(local[i])
-        lines.append(
-            ",".join(
-                [
-                    str(i + 1),
-                    report.step_labels[i],
-                    format_number(float(report.alphas[i])),
-                    str(int(report.errs[i])),
-                    format_number(iv.lower),
-                    format_number(iv.upper),
-                    cov,
-                ]
-            )
-        )
+    lines.extend(",".join(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -231,27 +230,27 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     if next(rows, None) != TRAJECTORY_HEADER:
         line = numbers[0] if numbers else 1
         raise ParseError(f"expected header {','.join(TRAJECTORY_HEADER)!r}", line=line)
-    errs, alphas, intervals, labels = [], [], [], []
-    for i, row in zip(numbers[1:], rows):
+    labels, alphas, errs, lower, upper = [], [], [], [], []
+    for t, (i, row) in enumerate(zip(numbers[1:], rows), start=1):
         if len(row) != len(TRAJECTORY_HEADER):
             raise ParseError(f"expected {len(TRAJECTORY_HEADER)} columns, got {len(row)}", line=i)
+        if row[0] != str(t):
+            raise ValidationError(f"t must be the row number {t}, got {row[0]!r}", line=i)
         labels.append(row[1])
-        alphas.append(parse_number(row[2], i))
+        alpha = parse_number(row[2], i)
+        if not math.isfinite(alpha):
+            raise ValidationError(f"alpha_t must be finite, got {row[2]}", line=i)
+        alphas.append(alpha)
         if row[3] not in ("0", "1"):
             raise ValidationError(f"err must be 0 or 1, got {row[3]}", line=i)
-        errs.append(int(row[3]))
-        intervals.append(PredictionInterval(parse_number(row[4], i), parse_number(row[5], i)))
-    return (
-        TrajectoryReport(
-            errs=np.array(errs, dtype=np.int8),
-            alphas=np.array(alphas),
-            intervals=tuple(intervals),
-            step_labels=tuple(labels),
-            config_echo=config,
-            valid=valid,
-        ),
-        local_window,
-    )
+        errs.append(row[3] == "1")
+        lower.append(parse_number(row[4], i))
+        upper.append(parse_number(row[5], i))
+        if row[6] and not 0.0 <= parse_number(row[6], i) <= 1.0:
+            raise ValidationError(f"local_cov must be blank or in [0, 1], got {row[6]}", line=i)
+    report = TrajectoryReport(errs=errs, alphas=alphas, lower=lower, upper=upper,
+                              step_labels=tuple(labels), config_echo=config, valid=valid)
+    return report, local_window
 
 
 def summary_payload(summary: CoverageSummary, report: TrajectoryReport, window: int) -> dict:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .conformal import PredictionInterval, err_indicator
-from .core import AciConfig, prop_bound
+from .conformal import err_indicator
+from .core import WEIGHTED, AciConfig, prop_bound
 from .errors import ConfigurationError, NoDataError
 
 #: Centered-window sizes used by the two experiment pipelines.
@@ -24,16 +24,18 @@ ELECTION_WINDOW = 300
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    """Per-step record of one online-calibration run.
+    """Per-step columns of one online-calibration run.
 
-    ``alphas[i]`` is the level in force when step ``i`` was predicted, and
-    ``errs[i]`` the resulting miscoverage bit. ``valid`` is False only on
-    partial reports recovered from an aborted run.
+    ``alphas[i]`` is the level in force when step ``i`` was predicted,
+    ``errs[i]`` the resulting miscoverage bit, and ``[lower[i], upper[i]]``
+    the prediction set (``(inf, -inf)`` when empty). ``valid`` is False only
+    on partial reports recovered from an aborted run.
     """
 
     errs: np.ndarray
     alphas: np.ndarray
-    intervals: tuple[PredictionInterval, ...]
+    lower: np.ndarray
+    upper: np.ndarray
     step_labels: tuple[str, ...]
     config_echo: AciConfig
     valid: bool = True
@@ -41,9 +43,11 @@ class TrajectoryReport:
 
     def __post_init__(self):
         object.__setattr__(self, "errs", np.asarray(self.errs, dtype=np.int8))
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
+        for name in ("alphas", "lower", "upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = len(self.errs)
-        if not (len(self.alphas) == len(self.intervals) == len(self.step_labels) == n):
+        if not (len(self.alphas) == len(self.lower) == len(self.upper)
+                == len(self.step_labels) == n):
             raise ConfigurationError("trajectory fields must have equal length")
 
     def __len__(self) -> int:
@@ -55,48 +59,46 @@ class TrajectoryReport:
         return (
             np.array_equal(self.errs, other.errs)
             and np.array_equal(self.alphas, other.alphas)
-            and self.intervals == other.intervals
+            and np.array_equal(self.lower, other.lower)
+            and np.array_equal(self.upper, other.upper)
             and self.step_labels == other.step_labels
             and self.config_echo == other.config_echo
             and self.valid == other.valid
         )
 
 
-def replay(config: AciConfig, scores, quantile_at, interval_at, labels) -> TrajectoryReport:
+def replay(config: AciConfig, scores, quantile_at, interval, labels) -> TrajectoryReport:
     """Run the adaptive-level recursion over a level-independent prediction stream.
 
     Step ``t`` realizes the conformity score ``scores[t]``. Its threshold is
     ``quantile_at(t, 1 - alpha_t)``, or ``+inf`` (the whole line) when
     ``alpha_t < 0``. That case is decided on ``alpha_t`` itself, because
     ``1 - alpha_t`` rounds to 1 for tiny negative levels. The miss bit is
-    ``err_indicator(scores[t], threshold)`` and the recorded interval is
-    ``interval_at(t, threshold)``, so the two can never disagree.
+    ``err_indicator(scores[t], threshold)``. After the loop one call,
+    ``interval(thresholds)``, maps the threshold column to the interval
+    columns, so a bit and its interval can never disagree.
     """
+    scores = np.asarray(scores, dtype=float)
+    alphas, thresholds = np.empty(scores.size), np.empty(scores.size)
+    errs = np.empty(scores.size, dtype=np.int8)
     state = core.init(config)
-    errs, alphas, intervals = [], [], []
-    for t, score in enumerate(scores):
+    for t, score in enumerate(scores.tolist()):
         a = state.current_level
         threshold = math.inf if a < 0.0 else quantile_at(t, 1.0 - a)
         err = err_indicator(score, threshold)
-        errs.append(err)
-        alphas.append(a)
-        intervals.append(interval_at(t, threshold))
+        errs[t], alphas[t], thresholds[t] = err, a, threshold
         state = core.update(state, err)
-    return TrajectoryReport(
-        errs=np.array(errs, dtype=np.int8),
-        alphas=np.array(alphas, dtype=float),
-        intervals=tuple(intervals),
-        step_labels=tuple(labels),
-        config_echo=config,
-    )
+    sets = interval(thresholds)
+    return TrajectoryReport(errs=errs, alphas=alphas, lower=sets.lower, upper=sets.upper,
+                            step_labels=tuple(labels), config_echo=config)
 
 
 @dataclass(frozen=True)
 class CoverageSummary:
     average_coverage: float
     max_local_deviation: float
-    prop_bound_value: float
-    prop_bound_satisfied: bool
+    prop_bound_value: float | None
+    prop_bound_satisfied: bool | None
 
 
 def check_local_window(window: int) -> None:
@@ -154,7 +156,8 @@ def bernoulli_band(
 def summarize(report: TrajectoryReport, window: int) -> CoverageSummary:
     """Aggregate a trajectory into its headline coverage diagnostics.
 
-    The bound check is vacuous (infinite bound) for a frozen level, and the
+    The bound check is vacuous (infinite bound) for a frozen level and
+    absent (None) for the weighted rule, which the bound does not cover; the
     local-deviation field is NaN when the trajectory is shorter than the
     window.
     """
@@ -168,14 +171,14 @@ def summarize(report: TrajectoryReport, window: int) -> CoverageSummary:
         max_dev = float(np.max(np.abs(local - (1.0 - cfg.target_miscoverage))))
     else:
         max_dev = math.nan
-    if cfg.step_size > 0.0:
-        bound = prop_bound(cfg, n)
+    if cfg.update_rule == WEIGHTED:
+        bound = satisfied = None
     else:
-        bound = math.inf
-    gap = abs(float(np.mean(report.errs)) - cfg.target_miscoverage)
+        bound = prop_bound(cfg, n) if cfg.step_size > 0.0 else math.inf
+        satisfied = bool(abs(float(np.mean(report.errs)) - cfg.target_miscoverage) <= bound)
     return CoverageSummary(
         average_coverage=avg,
         max_local_deviation=max_dev,
         prop_bound_value=bound,
-        prop_bound_satisfied=bool(gap <= bound),
+        prop_bound_satisfied=satisfied,
     )

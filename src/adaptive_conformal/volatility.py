@@ -305,23 +305,23 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
     if n <= window:
         raise NoDataError(f"need more than window = {window} returns, got {n}")
     vol = rets**2
-    sigma2 = np.empty(n - window)
-    history = np.full(n, math.nan)
+    # The first fit's in-sample path, then one forecast per step.
+    fitted = np.empty(n)
     for step in range(n - window):
         t = window + step
         if step % refit_every == 0:
             try:
                 fit = fit_garch(rets[t - window : t])
             except (ConvergenceError, DegenerateDataError, DomainError) as exc:
-                prefix = (sigma2[:step], history[:t])
+                done = t if step else 0  # a failed first fit leaves nothing scored
+                prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
                 raise ExperimentAborted(f"GARCH fit failed at step {step}: {exc}", prefix) from exc
             s = float(fit.sigma2_path[-1])
             if step == 0:
-                history[:window] = np.abs(vol[:window] - fit.sigma2_path) / fit.sigma2_path
+                fitted[:window] = fit.sigma2_path
         s = forecast_next_sigma2(fit.params, vol[t - 1], s)
-        sigma2[step] = s
-        history[t] = abs(vol[t] - s) / s
-    return sigma2, history
+        fitted[t] = s
+    return fitted[window:], NormalizedScore(fitted).score(vol)
 
 
 def replay_forecast_stream(
@@ -342,7 +342,7 @@ def replay_forecast_stream(
         aci_config,
         history[window:],
         lambda k, p: empirical_quantile(history[k : k + window], p),
-        lambda k, threshold: NormalizedScore(sigma2[k]).interval(threshold),
+        NormalizedScore(sigma2).interval,
         labels[window : history.size],
     )
 

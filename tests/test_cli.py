@@ -49,6 +49,19 @@ class TestExitCodes:
         assert run(command + ["--local-window", "51", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_non_finite_level_in_trajectory_is_data_error(self, tmp_path, capsys):
+        from test_io import make_report
+
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10), local_window=4)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[2] = "nan"
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["report", "--in", str(path)]) == 1
+        assert "line 4" in capsys.readouterr().err
+
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close\n2020-01-01,5\n")
@@ -103,6 +116,9 @@ class TestVolatilityCommand:
         assert weighted.config_echo.update_rule == "weighted"
         assert weighted.config_echo.decay == 0.9
         assert not np.array_equal(simple.alphas, weighted.alphas)
+        summary = json.loads((out_w / "summary.json").read_text())
+        assert summary["prop_bound_value"] is None
+        assert summary["prop_bound_satisfied"] is None
 
 
 class TestElectionCommand:
@@ -118,6 +134,19 @@ class TestElectionCommand:
         assert window == 300
         assert len(report) == 140
         assert (out / "counties.csv").exists()
+
+    def test_synthetic_counties_round_trip(self, tmp_path):
+        # The synthetic run uses the counties read back from its own file, so
+        # feeding that file to --counties reproduces every output byte.
+        common = ["election", "--warmup", "500", "--refit-every", "30", "--sigma", "inf",
+                  "--seed", "5"]
+        synthetic, replayed = tmp_path / "synthetic", tmp_path / "replayed"
+        assert run(common + ["--synthetic", "620", "--covariates", "3",
+                             "--out", str(synthetic)]) == 0
+        counties = synthetic / "counties.csv"
+        assert run(common + ["--counties", str(counties), "--out", str(replayed)]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (synthetic / name).read_bytes() == (replayed / name).read_bytes()
 
 
 class TestSimulateCommand:

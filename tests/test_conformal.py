@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptive_conformal.conformal import (
     EMPTY_INTERVAL,
@@ -177,3 +179,59 @@ class TestScoreIntervalDuality:
         iv = ctx.interval(0.75)
         assert iv.contains(iv.lower) and iv.contains(iv.upper)
         assert ctx.score(iv.upper) == pytest.approx(0.75)
+
+
+# Multiples of 1/8 with small magnitude: sums, products and the quotients
+# compared against them are exact or far from rounding, so the duality must
+# hold bit for bit rather than up to a tolerance.
+GRID = st.integers(-800, 800).map(lambda k: k / 8)
+POSITIVE = st.integers(1, 800).map(lambda k: k / 8)
+THRESHOLD = GRID | st.sampled_from([math.inf, -math.inf])
+
+
+def family_rows(prediction):
+    """Rows of (prediction, label, threshold) for one score family."""
+    label = st.integers(0, 800).map(lambda k: k / 8) if prediction is POSITIVE else GRID
+    return st.lists(st.tuples(prediction, label, THRESHOLD), min_size=1, max_size=30)
+
+
+FAMILIES = {
+    "absolute": (AbsoluteScore, family_rows(GRID)),
+    "normalized": (NormalizedScore, family_rows(POSITIVE)),
+    "cqr": (lambda pair: CqrScore(*pair), family_rows(st.tuples(GRID, GRID))),
+}
+
+
+class TestArrayNativeFamilies:
+    """Each family on arrays equals the family on floats, entry by entry."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_columns_match_scalars_and_duality(self, name, data):
+        make, rows = FAMILIES[name]
+        rows = data.draw(rows)
+        predictions, labels, thresholds = (np.array(col) for col in zip(*rows))
+        ctx = make(predictions.T)  # a CQR column of pairs transposes into (q_lo, q_hi)
+        scores = ctx.score(labels)
+        columns = ctx.interval(thresholds)
+        for i, (prediction, y, threshold) in enumerate(rows):
+            one = make(prediction)
+            assert scores[i] == one.score(y)
+            iv = one.interval(threshold)
+            assert (columns.lower[i], columns.upper[i]) == (iv.lower, iv.upper)
+            assert isinstance(iv.lower, float) and isinstance(iv.upper, float)
+        np.testing.assert_array_equal(columns.contains(labels), scores <= thresholds)
+        empty = columns.lower > columns.upper
+        np.testing.assert_array_equal(columns.lower[empty], math.inf)
+        np.testing.assert_array_equal(columns.upper[empty], -math.inf)
+        np.testing.assert_array_equal(columns.is_whole_line, thresholds == math.inf)
+
+    def test_crossing_pairs_are_swapped_elementwise(self):
+        ctx = CqrScore(np.array([5.0, 1.0]), np.array([2.0, 3.0]))
+        np.testing.assert_array_equal(ctx.q_lo, [2.0, 1.0])
+        np.testing.assert_array_equal(ctx.q_hi, [5.0, 3.0])
+
+    def test_any_nonpositive_variance_rejected(self):
+        with pytest.raises(DomainError):
+            NormalizedScore(np.array([1.0, 0.0]))

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from adaptive_conformal import election
+from adaptive_conformal.conformal import CqrScore, PredictionInterval
 from adaptive_conformal.core import AciConfig
 from adaptive_conformal.election import (
     CountyRecord,
+    QrModel,
     cqr_prediction_stream,
     fit_quantile_regression,
     generate_synthetic_counties,
@@ -194,12 +197,13 @@ class TestExperiment:
             rng=np.random.default_rng(2),
         )
         seq = [counties[i] for i in order][500:]
-        for county, err, iv in zip(seq, report.errs, report.intervals):
-            if not iv.is_empty and not iv.is_whole_line:
-                r_lo = iv.lower / county.y_prev - 1.0
-                r_hi = iv.upper / county.y_prev - 1.0
-                assert r_lo <= r_hi
-            assert bool(err) == (not iv.contains(county.y))
+        sets = PredictionInterval(report.lower, report.upper)
+        y = np.array([county.y for county in seq])
+        y_prev = np.array([county.y_prev for county in seq])
+        finite = np.isfinite(report.lower) & np.isfinite(report.upper)
+        assert np.all(report.lower[finite] / y_prev[finite] - 1.0
+                      <= report.upper[finite] / y_prev[finite] - 1.0)
+        np.testing.assert_array_equal(report.errs == 1, ~sets.contains(y))
 
     def test_stream_replay_matches_direct_run(self):
         counties, order = self._setup(seed=11)
@@ -212,6 +216,23 @@ class TestExperiment:
             rng=np.random.default_rng(42),
         )
         assert replay_prediction_stream(stream, self.CONFIG) == direct
+
+    def test_calibration_scores_swap_crossing_pairs(self, monkeypatch):
+        # Constant models whose lower quantile lies above the upper one: the
+        # calibration set must be scored as CqrScore scores test points.
+        def crossing_fit(design, responses, level):
+            return QrModel(level, 0.05 if level < 0.5 else -0.05, np.zeros(design.shape[1]))
+
+        monkeypatch.setattr(election, "fit_quantile_regression", crossing_fit)
+        counties, order = self._setup(n=520)
+        stream = cqr_prediction_stream(counties, order, 0.1, warmup=500, refit_every=30,
+                                       rng=np.random.default_rng(4))
+        residuals = np.array([counties[i].residual for i in order])
+        perm = np.random.default_rng(4).permutation(500)
+        cal = residuals[perm[int(500 * 0.75):]]
+        expected = CqrScore(np.full(cal.size, 0.05), np.full(cal.size, -0.05)).score(cal)
+        np.testing.assert_array_equal(stream.cal_scores[0], expected)
+        np.testing.assert_array_equal(expected, np.abs(cal) - 0.05)
 
     def test_too_few_counties(self):
         counties, order = self._setup(n=100)

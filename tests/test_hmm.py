@@ -157,8 +157,7 @@ class TestFixedQuantileRunner:
             rep = run_fixed_quantile_aci(scores[r], qhat, cfg)
             np.testing.assert_array_equal(errs[r], rep.errs)
             np.testing.assert_array_equal(alphas[r], rep.alphas)
-            for a, iv in zip(rep.alphas, rep.intervals):
-                assert iv.is_whole_line == (a < 0.0)
+            np.testing.assert_array_equal(rep.upper == math.inf, rep.alphas < 0.0)
 
     def test_batch_runner_weighted_rule_matches_updates(self):
         cfg = AciConfig(0.2, 0.01, update_rule="weighted", decay=0.9)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from adaptive_conformal.conformal import PredictionInterval
 from adaptive_conformal.core import AciConfig
 from adaptive_conformal.errors import ParseError, ValidationError
 from adaptive_conformal.io import (
@@ -22,19 +21,15 @@ def make_report(n=120, seed=0, gamma=0.005):
     rng = np.random.default_rng(seed)
     errs = (rng.random(n) < 0.1).astype(np.int8)
     alphas = 0.1 + 0.01 * rng.standard_normal(n)
-    intervals = []
-    for i in range(n):
-        if i % 17 == 0:
-            intervals.append(PredictionInterval(-math.inf, rng.normal()))
-        elif i % 23 == 0:
-            intervals.append(PredictionInterval(math.inf, -math.inf))
-        else:
-            lo = rng.normal()
-            intervals.append(PredictionInterval(lo, lo + abs(rng.normal())))
+    lower = rng.normal(size=n)
+    upper = lower + np.abs(rng.normal(size=n))
+    lower[::17] = -math.inf
+    lower[23::23], upper[23::23] = math.inf, -math.inf
     return TrajectoryReport(
         errs=errs,
         alphas=alphas,
-        intervals=tuple(intervals),
+        lower=lower,
+        upper=upper,
         step_labels=tuple(f"label-{i}" for i in range(n)),
         config_echo=AciConfig(0.1, gamma),
     )
@@ -133,8 +128,8 @@ class TestTrajectory:
         text = path.read_text()
         assert "-inf" in text and "inf" in text
         back, _ = read_trajectory(path)
-        assert any(iv.lower == -math.inf for iv in back.intervals)
-        assert any(iv.is_empty for iv in back.intervals)
+        assert np.any(back.lower == -math.inf)
+        assert np.any(back.lower > back.upper)
 
     def test_local_cov_column_blank_outside_window(self, tmp_path):
         report = make_report(n=60)
@@ -172,6 +167,27 @@ class TestTrajectory:
         path.write_text(text)
         with pytest.raises(ParseError):
             read_trajectory(path)
+
+    @pytest.mark.parametrize("column,value,error", [
+        pytest.param(2, "nan", ValidationError, id="nan-level"),
+        pytest.param(2, "-inf", ValidationError, id="infinite-level"),
+        pytest.param(0, "7", ValidationError, id="t-skips"),
+        pytest.param(0, "x", ValidationError, id="t-not-a-number"),
+        pytest.param(6, "abc", ParseError, id="local-cov-not-a-number"),
+        pytest.param(6, "1.5", ValidationError, id="local-cov-above-one"),
+        pytest.param(6, "nan", ValidationError, id="local-cov-nan"),
+    ])
+    def test_bad_row_names_line(self, tmp_path, column, value, error):
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10), local_window=4)
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[column] = value
+        lines[5] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as err:
+            read_trajectory(path)
+        assert err.value.line == 6
 
     def test_bad_err_value(self, tmp_path):
         report = make_report(n=10)

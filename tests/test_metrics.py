@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adaptive_conformal.conformal import PredictionInterval
-from adaptive_conformal.core import AciConfig
+from adaptive_conformal.core import AciConfig, prop_bound
 from adaptive_conformal.errors import ConfigurationError, NoDataError
 from adaptive_conformal.metrics import (
     CoverageSummary,
@@ -16,15 +15,16 @@ from adaptive_conformal.metrics import (
 )
 
 
-def make_report(errs, alpha=0.1, gamma=0.005):
+def make_report(errs, alpha=0.1, gamma=0.005, update_rule="simple"):
     errs = np.asarray(errs, dtype=np.int8)
     n = len(errs)
     return TrajectoryReport(
         errs=errs,
         alphas=np.full(n, alpha),
-        intervals=tuple(PredictionInterval(0.0, 1.0) for _ in range(n)),
+        lower=np.zeros(n),
+        upper=np.ones(n),
         step_labels=tuple(str(i) for i in range(n)),
-        config_echo=AciConfig(alpha, gamma),
+        config_echo=AciConfig(alpha, gamma, update_rule=update_rule),
     )
 
 
@@ -128,6 +128,15 @@ class TestSummarize:
         summary = summarize(make_report(np.ones(100), gamma=0.0), window=50)
         assert summary.prop_bound_value == math.inf
         assert summary.prop_bound_satisfied
+
+    def test_weighted_rule_claims_no_bound(self):
+        # The gap 0.9 is far above the simple-rule bound, which does not
+        # cover the weighted rule; the summary must make no claim either way.
+        report = make_report(np.ones(100), gamma=0.5, update_rule="weighted")
+        assert 0.9 > prop_bound(report.config_echo, 100)
+        summary = summarize(report, window=50)
+        assert summary.prop_bound_value is None
+        assert summary.prop_bound_satisfied is None
 
     def test_short_trajectory_has_no_local_series(self):
         summary = summarize(make_report(np.zeros(30)), window=100)
