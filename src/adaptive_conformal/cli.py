@@ -228,9 +228,10 @@ def _run_simulate(args) -> int:
 
 def _run_report(args) -> int:
     report, recorded_window = io.read_trajectory(args.infile)
-    window = args.window if args.window is not None else recorded_window
-    if window < 2:
-        window = metrics.VOLATILITY_WINDOW
+    window = args.window
+    if window is None:  # a file that records no window reads back as window 0
+        window = recorded_window or metrics.VOLATILITY_WINDOW
+    metrics.check_local_window(window)
     summary = metrics.summarize(report, window)
     payload = io.summary_payload(summary, report, window)
     if args.out is not None:

@@ -81,6 +81,22 @@ def init(config: AciConfig) -> AciState:
     return AciState(config=config, current_level=config.initial_level)
 
 
+def next_level(config: AciConfig, level, err, num, den):
+    """The level recursion on floats or equal-shape arrays; every runner calls it.
+
+    ``num`` and ``den`` are the weighted rule's geometric sums of past error
+    bits and of ones (the simple rule passes them through). Returns the next
+    ``(level, num, den)``.
+    """
+    if config.update_rule == SIMPLE:
+        feedback = err
+    else:
+        num = config.decay * num + err
+        den = config.decay * den + 1.0
+        feedback = num / den
+    return level + config.step_size * (config.target_miscoverage - feedback), num, den
+
+
 def update(state: AciState, err: int) -> AciState:
     """Advance the trajectory by one step.
 
@@ -95,19 +111,11 @@ def update(state: AciState, err: int) -> AciState:
         err = 0
     elif a > 1.0:
         err = 1
-
-    cfg = state.config
-    if cfg.update_rule == SIMPLE:
-        feedback = float(err)
-        num, den = state.weighted_err_numerator, state.weighted_err_denominator
-    else:
-        num = cfg.decay * state.weighted_err_numerator + err
-        den = cfg.decay * state.weighted_err_denominator + 1.0
-        feedback = num / den
-
+    level, num, den = next_level(state.config, a, err, state.weighted_err_numerator,
+                                 state.weighted_err_denominator)
     return replace(
         state,
-        current_level=a + cfg.step_size * (cfg.target_miscoverage - feedback),
+        current_level=level,
         step_index=state.step_index + 1,
         weighted_err_numerator=num,
         weighted_err_denominator=den,

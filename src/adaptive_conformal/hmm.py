@@ -53,6 +53,8 @@ class HmmSpec:
             raise ConfigurationError("transition rows must sum to 1")
         if means.shape != (n,) or scales.shape != (n,):
             raise ConfigurationError("need one score mean and scale per state")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(scales))):
+            raise ConfigurationError("score means and scales must be finite")
         if np.any(scales <= 0.0):
             raise ConfigurationError("score scales must be positive")
         object.__setattr__(self, "transition", p)
@@ -121,17 +123,8 @@ def simulate_hmm(
     spec: HmmSpec, horizon: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """One state path started from the stationary distribution, plus scores."""
-    if horizon < 1:
-        raise ConfigurationError("horizon must be >= 1")
-    pi = stationary_distribution(spec.transition)
-    cum = np.cumsum(spec.transition, axis=1)
-    states = np.empty(horizon, dtype=np.int64)
-    states[0] = rng.choice(spec.n_states, p=pi)
-    draws = rng.random(horizon - 1)
-    for t in range(1, horizon):
-        states[t] = np.searchsorted(cum[states[t - 1]], draws[t - 1], side="right")
-    scores = spec.score_means[states] + spec.score_scales[states] * rng.standard_normal(horizon)
-    return states, scores
+    states, scores = simulate_hmm_batch(spec, horizon, 1, rng)
+    return states[0], scores[0]
 
 
 def simulate_hmm_batch(
@@ -161,8 +154,10 @@ class NormalQuantile:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
+        if not math.isfinite(self.mean):
+            raise ConfigurationError(f"mean must be finite, got {self.mean}")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigurationError(f"scale must be finite and positive, got {self.scale}")
 
     def __call__(self, p: float) -> float:
         if p < 0.0:
@@ -217,13 +212,9 @@ def run_level_batch(
     """
     levels = np.atleast_2d(np.asarray(levels, dtype=float))
     reps, horizon = levels.shape
-    gamma, alpha = config.step_size, config.target_miscoverage
-    a = np.full(reps, float(config.initial_level))
-    num = np.zeros(reps)
-    den = 0.0
+    a, num, den = np.full(reps, float(config.initial_level)), 0.0, 0.0
     alphas = np.empty((reps, horizon))
     errs = np.empty((reps, horizon), dtype=np.int8)
-    weighted = config.update_rule == core.WEIGHTED
     for t in range(horizon):
         # A negative level covers the whole line. Levels never exceed 1, so a
         # strict comparison already gives no error there; a non-strict one
@@ -232,12 +223,7 @@ def run_level_batch(
         err = levels[:, t] > p if strict else (levels[:, t] >= p) & (a >= 0.0)
         alphas[:, t] = a
         errs[:, t] = err
-        if weighted:
-            num = config.decay * num + err
-            den = config.decay * den + 1.0
-            a = a + gamma * (alpha - num / den)
-        else:
-            a = a + gamma * (alpha - err)
+        a, num, den = core.next_level(config, a, err, num, den)
     return alphas, errs
 
 

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from datetime import date
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,23 @@ def parse_number(text: str, line: int) -> float:
         return float(text)
     except ValueError:
         raise ParseError(f"not a number: {text!r}", line=line) from None
+
+
+def parse_finite(text: str, line: int) -> float:
+    value = parse_number(text, line)
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text}", line=line)
+    return value
+
+
+def _read_text(path) -> str:
+    """A file's UTF-8 text; an undecodable byte is a ParseError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line=line) from None
 
 
 def round_trip_floats(obj):
@@ -65,8 +83,7 @@ def write_json(path, payload: dict) -> None:
 
 def read_prices(path) -> tuple[list[str], np.ndarray]:
     """Parse a ``date,open`` file into (ISO dates, opens)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    rows = list(csv.reader(StringIO(_read_text(path), newline="")))
     if not rows or rows[0] != PRICE_HEADER:
         raise ParseError(f"expected header {','.join(PRICE_HEADER)!r}", line=1)
     dates: list[str] = []
@@ -82,7 +99,7 @@ def read_prices(path) -> tuple[list[str], np.ndarray]:
         if prev is not None and day <= prev:
             raise ValidationError(f"dates must be strictly increasing at {row[0]}", line=i)
         prev = day
-        value = parse_number(row[1], i)
+        value = parse_finite(row[1], i)
         if not value > 0.0:
             raise ValidationError(f"open price must be positive, got {row[1]}", line=i)
         dates.append(row[0])
@@ -107,8 +124,7 @@ def read_counties(path):
     """Parse an ``id,population,x1..xd,y_prev,y`` table into CountyRecord rows."""
     from .election import CountyRecord
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    rows = list(csv.reader(StringIO(_read_text(path), newline="")))
     if not rows:
         raise ParseError("empty file", line=1)
     header = rows[0]
@@ -119,10 +135,10 @@ def read_counties(path):
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=i)
-        population = parse_number(row[1], i)
-        covariates = np.array([parse_number(v, i) for v in row[2 : 2 + d]])
-        y_prev = parse_number(row[2 + d], i)
-        y = parse_number(row[3 + d], i)
+        population = parse_finite(row[1], i)
+        covariates = np.array([parse_finite(v, i) for v in row[2 : 2 + d]])
+        y_prev = parse_finite(row[2 + d], i)
+        y = parse_finite(row[3 + d], i)
         if not population > 0.0:
             raise ValidationError(f"population must be positive, got {row[1]}", line=i)
         if not y_prev > 0.0:
@@ -199,7 +215,7 @@ def _parse_meta(lines: list[tuple[int, str]]) -> dict[str, tuple[str, int]]:
 
 def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     """Inverse of ``write_trajectory``; returns the report and local window."""
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    raw = _read_text(path).splitlines()
     meta = _parse_meta([(i, l) for i, l in enumerate(raw, start=1) if l.startswith("#")])
     required = {"target_miscoverage", "step_size", "initial_level", "update_rule", "decay"}
     if not required <= meta.keys():
@@ -237,10 +253,7 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
         if row[0] != str(t):
             raise ValidationError(f"t must be the row number {t}, got {row[0]!r}", line=i)
         labels.append(row[1])
-        alpha = parse_number(row[2], i)
-        if not math.isfinite(alpha):
-            raise ValidationError(f"alpha_t must be finite, got {row[2]}", line=i)
-        alphas.append(alpha)
+        alphas.append(parse_finite(row[2], i))
         if row[3] not in ("0", "1"):
             raise ValidationError(f"err must be 0 or 1, got {row[3]}", line=i)
         errs.append(row[3] == "1")

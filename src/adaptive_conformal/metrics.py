@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
 from .conformal import err_indicator
-from .core import WEIGHTED, AciConfig, prop_bound
+from .core import WEIGHTED, AciConfig, next_level, prop_bound
 from .errors import ConfigurationError, NoDataError
 
 #: Centered-window sizes used by the two experiment pipelines.
@@ -71,23 +70,23 @@ def replay(config: AciConfig, scores, quantile_at, interval, labels) -> Trajecto
     """Run the adaptive-level recursion over a level-independent prediction stream.
 
     Step ``t`` realizes the conformity score ``scores[t]``. Its threshold is
-    ``quantile_at(t, 1 - alpha_t)``, or ``+inf`` (the whole line) when
-    ``alpha_t < 0``. That case is decided on ``alpha_t`` itself, because
-    ``1 - alpha_t`` rounds to 1 for tiny negative levels. The miss bit is
-    ``err_indicator(scores[t], threshold)``. After the loop one call,
-    ``interval(thresholds)``, maps the threshold column to the interval
-    columns, so a bit and its interval can never disagree.
+    ``quantile_at(t, 1 - alpha_t)``; it is ``+inf`` (the whole line) when
+    ``alpha_t < 0``, decided on ``alpha_t`` because ``1 - alpha_t`` rounds to 1
+    for tiny negative levels, and ``-inf`` (the empty set) when ``alpha_t >= 1``.
+    The miss bit is ``err_indicator(scores[t], threshold)`` and ``next_level``
+    moves the level. After the loop one call, ``interval(thresholds)``, maps
+    the threshold column to the interval columns, so a bit and its interval
+    can never disagree.
     """
     scores = np.asarray(scores, dtype=float)
     alphas, thresholds = np.empty(scores.size), np.empty(scores.size)
     errs = np.empty(scores.size, dtype=np.int8)
-    state = core.init(config)
+    a, num, den = config.initial_level, 0.0, 0.0
     for t, score in enumerate(scores.tolist()):
-        a = state.current_level
-        threshold = math.inf if a < 0.0 else quantile_at(t, 1.0 - a)
+        threshold = math.inf if a < 0.0 else -math.inf if a >= 1.0 else quantile_at(t, 1.0 - a)
         err = err_indicator(score, threshold)
         errs[t], alphas[t], thresholds[t] = err, a, threshold
-        state = core.update(state, err)
+        a, num, den = next_level(config, a, err, num, den)
     sets = interval(thresholds)
     return TrajectoryReport(errs=errs, alphas=alphas, lower=sets.lower, upper=sets.upper,
                             step_labels=tuple(labels), config_echo=config)

@@ -117,13 +117,17 @@ def _sigma2_path(omega, a, b, returns, s0):
     return path
 
 
+def _gaussian_nll(path: np.ndarray, returns: np.ndarray) -> float:
+    """0.5 * sum(log(2 pi s_t) + r_t^2 / s_t) over a variance path."""
+    return float(0.5 * np.sum(np.log(2.0 * math.pi * path) + returns**2 / path))
+
+
 def garch_neg_loglik(
     params: GarchParams, returns: np.ndarray, sigma2_init: float | None = None
 ) -> float:
     """Gaussian negative log-likelihood 0.5 * sum(log(2 pi s_t) + r_t^2 / s_t)."""
     returns = np.asarray(returns, dtype=float)
-    path = garch_sigma2_path(params, returns, sigma2_init)
-    return float(0.5 * np.sum(np.log(2.0 * math.pi * path) + returns**2 / path))
+    return _gaussian_nll(garch_sigma2_path(params, returns, sigma2_init), returns)
 
 
 def forecast_next_sigma2(params: GarchParams, v_prev: float, sigma2_prev: float) -> float:
@@ -165,9 +169,7 @@ def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
         if not (np.isfinite(omega) and omega > 0.0):
             return 1e12
         path = _sigma2_path(omega, a, b, returns, sample_var)
-        if path is None:
-            return 1e12
-        return float(0.5 * np.sum(np.log(2.0 * math.pi * path) + returns**2 / path))
+        return 1e12 if path is None else _gaussian_nll(path, returns)
 
     starts = [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]
     best_x, best_val = None, math.inf
@@ -293,8 +295,9 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
     here depends on the adaptive level, so one stream can be replayed under
     several calibration policies.
 
-    A failed fit raises ``ExperimentAborted`` whose ``partial_report`` is the
-    ``(sigma2, history)`` prefix computed before it.
+    A failed fit, or a forecast path that is not finite or falls below
+    ``SIGMA2_FLOOR``, raises ``ExperimentAborted`` whose ``partial_report``
+    is the ``(sigma2, history)`` prefix before that refit.
     """
     rets = np.asarray(rets, dtype=float)
     n = rets.size
@@ -305,22 +308,22 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
     if n <= window:
         raise NoDataError(f"need more than window = {window} returns, got {n}")
     vol = rets**2
-    # The first fit's in-sample path, then one forecast per step.
+    # The first fit's in-sample path, then one forecast per step: each refit
+    # filters its segment forward from the last in-sample variance.
     fitted = np.empty(n)
-    for step in range(n - window):
-        t = window + step
-        if step % refit_every == 0:
-            try:
-                fit = fit_garch(rets[t - window : t])
-            except (ConvergenceError, DegenerateDataError, DomainError) as exc:
-                done = t if step else 0  # a failed first fit leaves nothing scored
-                prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
-                raise ExperimentAborted(f"GARCH fit failed at step {step}: {exc}", prefix) from exc
-            s = float(fit.sigma2_path[-1])
-            if step == 0:
-                fitted[:window] = fit.sigma2_path
-        s = forecast_next_sigma2(fit.params, vol[t - 1], s)
-        fitted[t] = s
+    for t in range(window, n, refit_every):
+        stop = min(t + refit_every, n)
+        try:
+            fit = fit_garch(rets[t - window : t])
+            path = garch_sigma2_path(fit.params, rets[t - 1 : stop], fit.sigma2_path[-1])
+        except (ConvergenceError, DegenerateDataError, DomainError) as exc:
+            done = t if t > window else 0  # a failed first refit leaves nothing scored
+            prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
+            raise ExperimentAborted(f"GARCH refit failed at step {t - window}: {exc}",
+                                    prefix) from exc
+        if t == window:
+            fitted[:window] = fit.sigma2_path
+        fitted[t:stop] = path[1:]
     return fitted[window:], NormalizedScore(fitted).score(vol)
 
 

@@ -62,6 +62,30 @@ class TestExitCodes:
         assert run(["report", "--in", str(path)]) == 1
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--scales", "nan,1"), ("--means", "nan"), ("--means", "inf"),
+        ("--qhat-mean", "nan"), ("--qhat-mean", "inf"), ("--qhat-scale", "inf"),
+    ])
+    def test_non_finite_simulate_parameter_is_data_error(self, tmp_path, capsys, flag, value):
+        assert run(["simulate", "--horizon", "200", "--reps", "100", flag, value,
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "theory.json").exists()
+
+    @pytest.mark.parametrize("command,name,text", [
+        pytest.param(["volatility", "--window", "60"], "prices.csv",
+                     b"date,open\n2020-01-01,10\n2020-01-02,1\xff\n", id="prices-not-utf8"),
+        pytest.param(["election", "--warmup", "500"], "counties.csv",
+                     b"id,population,x1,y_prev,y\nc1,10,0.5,5,6\nc2,inf,0.5,5,6\n",
+                     id="counties-infinite-population"),
+    ])
+    def test_bad_input_file_is_data_error(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / name
+        path.write_bytes(text)
+        source = "--prices" if command[0] == "volatility" else "--counties"
+        assert run(command + [source, str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")
+
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close\n2020-01-01,5\n")
@@ -187,6 +211,25 @@ class TestReportCommand:
         dest = tmp_path / "summary.json"
         assert run(["report", "--in", str(path), "--out", str(dest)]) == 0
         assert json.loads(dest.read_text())["n_steps"] == 30
+
+    @pytest.mark.parametrize("window", ["1", "-4", "0", "1001"])
+    def test_invalid_window_is_data_error(self, tmp_path, capsys, window):
+        from test_io import make_report
+
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=30, seed=2), local_window=10)
+        assert run(["report", "--in", str(path), "--window", window]) == 1
+        assert "window must be a positive even integer" in capsys.readouterr().err
+
+    def test_file_without_window_falls_back_to_default(self, tmp_path, capsys):
+        from test_io import make_report
+
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=30, seed=2), local_window=10)
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("# run")]
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["report", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["local_window"] == 500
 
     def test_window_override(self, tmp_path):
         from test_io import make_report

@@ -206,7 +206,7 @@ class TestArrayNativeFamilies:
     """Each family on arrays equals the family on floats, entry by entry."""
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    @settings(deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_columns_match_scalars_and_duality(self, name, data):
         make, rows = FAMILIES[name]

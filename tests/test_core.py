@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adaptive_conformal.core import (
     AciConfig,
@@ -212,3 +214,20 @@ class TestTrajectoryInvariants:
             state = update(state, int(rng.random() < 0.1))
             k = round((state.current_level - alpha) / spacing)
             assert abs(state.current_level - (alpha + k * spacing)) < 1e-9
+
+    @given(
+        target=st.floats(0.01, 0.99),
+        gamma=st.floats(0.001, 1.0),
+        alpha1=st.floats(0.0, 1.0),
+        errs=st.lists(st.booleans(), min_size=1, max_size=300),
+    )
+    def test_any_error_sequence_keeps_band_and_prefix_bound(self, target, gamma, alpha1, errs):
+        # Both guarantees hold for every sequence of reported bits, however
+        # adversarial, because update() coerces the bit outside [0, 1].
+        cfg = AciConfig(target, gamma, initial_level=alpha1)
+        state = init(cfg)
+        for horizon, err in enumerate(errs, start=1):
+            state = update(state, int(err))
+            assert -gamma <= state.current_level <= 1.0 + gamma
+            gap = abs(empirical_miscoverage(state) - target)
+            assert gap <= prop_bound(cfg, horizon)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
 from adaptive_conformal import bounds
@@ -94,6 +96,16 @@ class TestSimulation:
         _, scores = simulate_hmm(spec, 10_000, np.random.default_rng(4))
         assert kstest(scores, norm(loc=0.5, scale=2.0).cdf).pvalue > 0.001
 
+    @pytest.mark.parametrize("means,scales", [
+        pytest.param((math.nan, 0.0), (1.0, 2.0), id="nan-mean"),
+        pytest.param((0.0, math.inf), (1.0, 2.0), id="infinite-mean"),
+        pytest.param((0.0, 0.0), (math.nan, 2.0), id="nan-scale"),
+        pytest.param((0.0, 0.0), (1.0, math.inf), id="infinite-scale"),
+    ])
+    def test_spec_rejects_non_finite_parameters(self, means, scales):
+        with pytest.raises(ConfigurationError):
+            two_state_spec(means=means, scales=scales)
+
     def test_batch_marginals_match_stationary(self):
         spec = two_state_spec(p=0.8)
         states, _ = simulate_hmm_batch(spec, 400, 300, np.random.default_rng(5))
@@ -107,6 +119,13 @@ class TestQuantileFunctions:
         assert q(-0.1) == -math.inf and q(1.1) == math.inf
         assert q(0.5) == pytest.approx(0.0, abs=1e-12)
         assert q(0.0) == -math.inf and q(1.0) == math.inf
+
+    @pytest.mark.parametrize("mean,scale", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0),
+    ])
+    def test_normal_quantile_rejects_non_finite(self, mean, scale):
+        with pytest.raises(ConfigurationError):
+            NormalQuantile(mean, scale)
 
     def test_empirical_quantile_wrapper(self):
         q = EmpiricalQuantile(np.array([3.0, 1.0, 2.0]))
@@ -172,6 +191,51 @@ class TestFixedQuantileRunner:
             )
             assert errs[0, t] == err
             state = update(state, err)
+
+
+def hundredths(lo, hi):
+    return st.integers(lo, hi).map(lambda k: k / 100)
+
+
+@st.composite
+def level_batches(draw):
+    """A config, a (reps, horizon) exceedance-level array and a comparison.
+
+    Coarse targets and step sizes, and exceedance levels of exactly 0, 1/2
+    and 1, make sums that round to just below 0 or just above 1 common.
+    """
+    config = AciConfig(
+        draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 0.9])),
+        draw(st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.3, 0.0])),
+        initial_level=draw(hundredths(0, 100)),
+        update_rule=draw(st.sampled_from(["simple", "weighted"])),
+        decay=draw(hundredths(1, 99)),
+    )
+    reps, horizon = draw(st.integers(1, 3)), draw(st.integers(20, 60))
+    row = st.lists(st.sampled_from([1.0, 0.0, 0.5]), min_size=horizon, max_size=horizon)
+    levels = draw(st.lists(row, min_size=reps, max_size=reps))
+    return config, np.array(levels), draw(st.booleans())
+
+
+class TestLevelBatchProperties:
+    # The third level is 0.04 - 0.04 = -6.9e-18, for which 1 - alpha_t rounds to 1.
+    @example(batch=(AciConfig(0.2, 0.05, initial_level=0.03), np.array([[0.0, 1.0, 1.0]]),
+                    False))
+    @given(batch=level_batches())
+    def test_rows_equal_literal_update_loop(self, batch):
+        config, levels, strict = batch
+        alphas, errs = run_level_batch(config, levels, strict)
+        for r, row in enumerate(levels):
+            state = init(config)
+            expected_alphas, expected_errs = [], []
+            for u in row:
+                a = state.current_level
+                following = update(state, int(u > 1.0 - a if strict else u >= 1.0 - a))
+                expected_alphas.append(a)
+                expected_errs.append(following.cumulative_err_count - state.cumulative_err_count)
+                state = following
+            np.testing.assert_array_equal(alphas[r], expected_alphas)
+            np.testing.assert_array_equal(errs[r], expected_errs)
 
 
 class TestAlphaStar:

@@ -1,7 +1,12 @@
 import math
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adaptive_conformal.core import AciConfig
 from adaptive_conformal.errors import ParseError, ValidationError
@@ -33,6 +38,11 @@ def make_report(n=120, seed=0, gamma=0.005):
         step_labels=tuple(f"label-{i}" for i in range(n)),
         config_echo=AciConfig(0.1, gamma),
     )
+
+
+def write_lines(path, lines):
+    """Write text lines; the lone surrogate ``"\\udcff"`` is written as the raw byte 0xff."""
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
 
 class TestPrices:
@@ -71,6 +81,19 @@ class TestPrices:
             read_prices(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("row,error", [
+        pytest.param("2020-01-02,inf", ValidationError, id="infinite-price"),
+        pytest.param("2020-01-02,nan", ValidationError, id="nan-price"),
+        pytest.param("2020-01-02,1\udcff", ParseError, id="not-utf8"),
+        pytest.param("2020-\udcff1-02,10", ParseError, id="not-utf8-date"),
+    ])
+    def test_bad_row_names_line(self, tmp_path, row, error):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["date,open", "2020-01-01,10", row, "2020-01-03,11"])
+        with pytest.raises(error) as err:
+            read_prices(path)
+        assert err.value.line == 3
+
 
 class TestCounties:
     def test_round_trip(self, tmp_path):
@@ -102,6 +125,23 @@ class TestCounties:
         path.write_text("id,population,x1,y_prev,y\nc1,10,0.5,5\n")
         with pytest.raises(ParseError):
             read_counties(path)
+
+    @pytest.mark.parametrize("column,value,error", [
+        pytest.param(1, "inf", ValidationError, id="infinite-population"),
+        pytest.param(2, "nan", ValidationError, id="nan-covariate"),
+        pytest.param(3, "-inf", ValidationError, id="infinite-covariate"),
+        pytest.param(4, "nan", ValidationError, id="nan-y-prev"),
+        pytest.param(5, "inf", ValidationError, id="infinite-y"),
+        pytest.param(0, "c\udcff", ParseError, id="not-utf8"),
+    ])
+    def test_bad_row_names_line(self, tmp_path, column, value, error):
+        path = tmp_path / "bad.csv"
+        row = ["c2", "20", "0.5", "1.5", "5", "6"]
+        row[column] = value
+        write_lines(path, ["id,population,x1,x2,y_prev,y", "c1,10,0.5,1,5,6", ",".join(row)])
+        with pytest.raises(error) as err:
+            read_counties(path)
+        assert err.value.line == 3
 
 
 class TestTrajectory:
@@ -176,6 +216,7 @@ class TestTrajectory:
         pytest.param(6, "abc", ParseError, id="local-cov-not-a-number"),
         pytest.param(6, "1.5", ValidationError, id="local-cov-above-one"),
         pytest.param(6, "nan", ValidationError, id="local-cov-nan"),
+        pytest.param(1, "label-\udcff", ParseError, id="not-utf8"),
     ])
     def test_bad_row_names_line(self, tmp_path, column, value, error):
         path = tmp_path / "t.csv"
@@ -184,7 +225,7 @@ class TestTrajectory:
         row = lines[5].split(",")
         row[column] = value
         lines[5] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        write_lines(path, lines)
         with pytest.raises(error) as err:
             read_trajectory(path)
         assert err.value.line == 6
@@ -199,3 +240,72 @@ class TestTrajectory:
         with pytest.raises(ValidationError) as err:
             read_trajectory(path)
         assert err.value.line == 4
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BOUND = st.floats(allow_nan=False)
+LABEL = st.text(string.ascii_letters + string.digits + "-_.: ", max_size=12)
+
+
+@st.composite
+def reports(draw):
+    """Any report the writer accepts, with a config whose echo reads back."""
+    n = draw(st.integers(1, 30))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    config = AciConfig(
+        target_miscoverage=draw(st.integers(1, 999)) / 1000,
+        step_size=draw(st.floats(0.0, 10.0)),
+        initial_level=draw(st.floats(0.0, 1.0)),
+        update_rule=draw(st.sampled_from(["simple", "weighted"])),
+        decay=draw(st.integers(1, 999)) / 1000,
+    )
+    return TrajectoryReport(
+        errs=column(st.integers(0, 1)),
+        alphas=column(FINITE),
+        lower=column(BOUND),
+        upper=column(BOUND),
+        step_labels=tuple(column(LABEL)),
+        config_echo=config,
+        valid=draw(st.booleans()),
+    )
+
+
+def valid_trajectory_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "t.csv"
+        write_trajectory(path, make_report(n=8), local_window=4)
+        return path.read_bytes()
+
+
+@st.composite
+def edited_trajectories(draw):
+    """A valid trajectory file with a few byte ranges replaced by arbitrary bytes."""
+    data = valid_trajectory_bytes()
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(data)))
+        stop = draw(st.integers(start, min(start + 8, len(data))))
+        data = data[:start] + draw(st.binary(max_size=8)) + data[stop:]
+    return data
+
+
+class TestTrajectoryProperties:
+    @given(report=reports(), window=st.integers(-2, 40))
+    def test_write_read_write_is_byte_idempotent(self, tmp_path_factory, report, window):
+        folder = tmp_path_factory.mktemp("round-trip")
+        first, second = folder / "a.csv", folder / "b.csv"
+        write_trajectory(first, report, local_window=window)
+        back, recorded = read_trajectory(first)
+        write_trajectory(second, back, local_window=recorded)
+        assert first.read_bytes() == second.read_bytes()
+
+    @given(data=st.binary(max_size=400) | edited_trajectories())
+    def test_arbitrary_bytes_raise_only_file_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+        path.write_bytes(data)
+        try:
+            read_trajectory(path)
+        except (ParseError, ValidationError) as exc:
+            assert exc.line >= 1

@@ -268,3 +268,32 @@ class TestExperiment:
         for config in (self.CONFIG, AciConfig(0.1, 0.0)):
             direct = run_volatility_experiment(prices, config, window=60, refit_every=5)
             assert replay_forecast_stream(*stream, config) == direct
+
+    def test_stream_matches_per_step_forecast_loop(self):
+        # Reference: each refit's last in-sample variance rolled forward one
+        # forecast_next_sigma2 call per step.
+        rets = returns_from_prices(self._prices(200, seed=47))
+        window, refit_every = 60, 45
+        sigma2, _ = forecast_stream(rets, window, refit_every)
+        expected = []
+        for step in range(rets.size - window):
+            t = window + step
+            if step % refit_every == 0:
+                fit = fit_garch(rets[t - window : t])
+                s = fit.sigma2_path[-1]
+            s = forecast_next_sigma2(fit.params, rets[t - 1] ** 2, s)
+            expected.append(s)
+        np.testing.assert_array_equal(sigma2, expected)
+
+    def test_degenerate_forecast_path_aborts_like_a_failed_fit(self):
+        # A price jump by 1e200 overflows the squared return inside the third
+        # forecast segment; the fits themselves never see it.
+        prices = self._prices(100)
+        prices[85:] *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ExperimentAborted) as err:
+            run_volatility_experiment(prices, self.CONFIG, window=60, refit_every=10)
+        partial = err.value.partial_report
+        assert len(partial) == 20 and not partial.valid
+        clean = run_volatility_experiment(prices[:81], self.CONFIG, window=60, refit_every=10)
+        assert replace(partial, valid=True) == clean
