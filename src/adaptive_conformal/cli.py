@@ -255,10 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except AdaptiveConformalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AdaptiveConformalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,9 @@
 """CSV/JSON serialization for price series, county tables, and trajectories.
 
 Numbers are written with 12 significant digits, infinities as ``inf`` /
-``-inf``. Trajectory files carry the calibration configuration in ``#``
-comment lines above the header so a file round-trips to an equivalent
-report without side channels.
+``-inf``, rows with minimal CSV quoting. Trajectory files echo the calibration
+configuration, exactly, in ``#`` comment lines above the header so a file
+round-trips to an equivalent report without side channels.
 """
 
 from __future__ import annotations
@@ -109,11 +109,17 @@ def read_prices(path) -> tuple[list[str], np.ndarray]:
     return dates, np.array(opens)
 
 
+def _write_csv(path, rows, comments: tuple[str, ...] = ()) -> None:
+    """Comment lines, then rows with minimal CSV quoting; every line ends in \\n."""
+    out = StringIO()
+    out.writelines(line + "\n" for line in comments)
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    Path(path).write_text(out.getvalue(), encoding="utf-8")
+
+
 def write_prices(path, dates: list[str], opens) -> None:
-    lines = [",".join(PRICE_HEADER)]
-    for d, p in zip(dates, np.asarray(opens, dtype=float)):
-        lines.append(f"{d},{format_number(p)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    opens = map(format_number, np.asarray(opens, dtype=float).tolist())
+    _write_csv(path, [PRICE_HEADER, *zip(dates, opens)])
 
 
 def _county_header(d: int) -> list[str]:
@@ -135,6 +141,8 @@ def read_counties(path):
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=i)
+        if len(f"{row[0]}.".splitlines()) > 1:  # a trajectory row must stay one line
+            raise ValidationError(f"id must not hold a line break: {row[0]!r}", line=i)
         population = parse_finite(row[1], i)
         covariates = np.array([parse_finite(v, i) for v in row[2 : 2 + d]])
         y_prev = parse_finite(row[2 + d], i)
@@ -156,23 +164,22 @@ def read_counties(path):
 
 def write_counties(path, counties) -> None:
     d = len(counties[0].covariates) if counties else 1
-    lines = [",".join(_county_header(d))]
-    for c in counties:
-        fields = [c.id, format_number(c.population)]
-        fields += [format_number(v) for v in c.covariates]
-        fields += [format_number(c.y_prev), format_number(c.y)]
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [[c.id, *map(format_number, [c.population, *c.covariates, c.y_prev, c.y])]
+            for c in counties]
+    _write_csv(path, [_county_header(d), *rows])
 
 
 def _config_meta(config: AciConfig) -> str:
+    def exact(x: float) -> str:  # the 12-digit form when it reads back exactly
+        return format_number(x) if float(format_number(x)) == x else repr(float(x))
+
     return (
         "# aci"
-        f" target_miscoverage={format_number(config.target_miscoverage)}"
-        f" step_size={format_number(config.step_size)}"
-        f" initial_level={format_number(config.initial_level)}"
+        f" target_miscoverage={exact(config.target_miscoverage)}"
+        f" step_size={exact(config.step_size)}"
+        f" initial_level={exact(config.initial_level)}"
         f" update_rule={config.update_rule}"
-        f" decay={format_number(config.decay)}"
+        f" decay={exact(config.decay)}"
     )
 
 
@@ -194,13 +201,8 @@ def write_trajectory(path, report: TrajectoryReport, local_window: int) -> None:
         map(format_number, report.upper.tolist()),
         local,
     )
-    lines = [
-        _config_meta(report.config_echo),
-        f"# run local_window={local_window} valid={str(report.valid).lower()}",
-        ",".join(TRAJECTORY_HEADER),
-    ]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run = f"# run local_window={local_window} valid={str(report.valid).lower()}"
+    _write_csv(path, [TRAJECTORY_HEADER, *rows], (_config_meta(report.config_echo), run))
 
 
 def _parse_meta(lines: list[tuple[int, str]]) -> dict[str, tuple[str, int]]:

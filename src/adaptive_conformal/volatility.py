@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy.optimize import approx_fprime, minimize
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from . import core
@@ -34,6 +34,7 @@ logger = logging.getLogger(__name__)
 SIGMA2_FLOOR = 1e-12
 MIN_FIT_LENGTH = 30
 GRADIENT_TOL = 1e-5
+OMEGA_GAIN_TOL = 1e-3
 MAX_ITER = 500
 
 
@@ -70,6 +71,7 @@ class GarchFit:
     params: GarchParams
     sigma2_path: np.ndarray
     neg_loglik: float
+    iterations: int  # BFGS iterations over all starting points
 
 
 def returns_from_prices(prices) -> np.ndarray:
@@ -106,12 +108,8 @@ def garch_sigma2_path(
 
 def _sigma2_path(omega, a, b, returns, s0):
     """Variance path without object construction; None when it degenerates."""
-    if returns.size == 1:
-        path = np.array([s0])
-    else:
-        drive = omega + a * returns[:-1] ** 2
-        rest, _ = lfilter([1.0], [1.0, -b], drive, zi=[b * s0])
-        path = np.concatenate([[s0], rest])
+    rest, _ = lfilter([1.0], [1.0, -b], omega + a * returns[:-1] ** 2, zi=[b * s0])
+    path = np.concatenate([[s0], rest])
     if not np.all(np.isfinite(path)) or np.min(path) < SIGMA2_FLOOR:
         return None
     return path
@@ -150,12 +148,34 @@ def _pack(omega: float, a: float, b: float) -> np.ndarray:
     return np.array([math.log(omega), math.log(a / rest), math.log(b / rest)])
 
 
-def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
-    """Maximum-likelihood GARCH(1,1) fit.
+def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood at unconstrained ``x`` and its exact gradient in ``x``.
 
-    Runs a derivative-free simplex search from three fixed starting points on
-    an unconstrained reparametrization, polishes the best with BFGS, and
-    verifies the scaled gradient norm at the optimum. Deterministic.
+    d sigma2_t / d(omega, a, b) is the variance filter run over the driving rows
+    (1, r_{t-1}^2, sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996),
+    chained through ``_unpack``. A degenerate path scores 1e12, gradient 0.
+    """
+    omega, a, b = _unpack(x)
+    path = _sigma2_path(omega, a, b, returns, s0) if 0.0 < omega < math.inf else None
+    if path is None:
+        return 1e12, np.zeros(3)
+    drive = np.stack([np.ones(returns.size - 1), returns[:-1] ** 2, path[:-1]])
+    dpath = lfilter([1.0], [1.0, -b], drive, axis=1)
+    d_omega, d_a, d_b = dpath @ (0.5 * (path[1:] - returns[1:] ** 2) / path[1:] ** 2)
+    mean = a * d_a + b * d_b  # (a, b) is a softmax of (u, v)
+    return _gaussian_nll(path, returns), np.array([omega * d_omega, a * (d_a - mean),
+                                                   b * (d_b - mean)])
+
+
+def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
+    """Maximum-likelihood GARCH(1,1) fit: BFGS on ``_nll_and_grad`` from three starts.
+
+    The best optimum must have a scaled gradient norm (search coordinates) of
+    at most ``GRADIENT_TOL`` and gain at most ``OMEGA_GAIN_TOL`` from raising
+    omega (``-dnll/domega * var(r) / max(1, |nll|)``). That test is one-sided:
+    it rejects a search stalled at omega -> 0, where the log-omega gradient
+    vanishes, and keeps an optimum that truly lies there. Else it raises
+    ``ConvergenceError`` carrying the fit. Deterministic.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.size < MIN_FIT_LENGTH:
@@ -164,46 +184,25 @@ def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
     if sample_var < SIGMA2_FLOOR:
         raise DegenerateDataError("returns have (numerically) zero variance")
 
-    def objective(x):
-        omega, a, b = _unpack(x)
-        if not (np.isfinite(omega) and omega > 0.0):
-            return 1e12
-        path = _sigma2_path(omega, a, b, returns, sample_var)
-        return 1e12 if path is None else _gaussian_nll(path, returns)
-
-    starts = [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]
-    best_x, best_val = None, math.inf
-    for a0, b0 in starts:
-        x0 = _pack(sample_var * (1.0 - a0 - b0), a0, b0)
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": max_iter, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    polish = minimize(objective, best_x, method="BFGS", options={"maxiter": max_iter})
-    if polish.fun <= best_val:
-        best_val, best_x = float(polish.fun), polish.x
-
-    omega, a, b = _unpack(best_x)
+    runs = [minimize(_nll_and_grad, _pack(sample_var * (1.0 - a0 - b0), a0, b0),
+                     args=(returns, sample_var), method="BFGS", jac=True,
+                     options={"maxiter": max_iter})
+            for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]]
+    best = min(runs, key=lambda res: res.fun)
+    omega, a, b = _unpack(best.x)
     if a + b >= 1.0 - 1e-10:  # float rounding at the simplex boundary
         shrink = (1.0 - 1e-10) / (a + b)
         a, b = a * shrink, b * shrink
     params = GarchParams(omega, a, b)
-    fit = GarchFit(
-        params=params,
-        sigma2_path=garch_sigma2_path(params, returns, sample_var),
-        neg_loglik=best_val,
-    )
-    grad = approx_fprime(best_x, objective, 1e-7)
-    scaled = float(np.max(np.abs(grad))) / max(1.0, abs(best_val))
-    if scaled > GRADIENT_TOL:
-        raise ConvergenceError(
-            f"scaled gradient norm {scaled:.3g} above {GRADIENT_TOL:g} after polish",
-            best=fit,
-        )
+    fit = GarchFit(params, garch_sigma2_path(params, returns, sample_var), float(best.fun),
+                   sum(res.nit for res in runs))
+    scale = max(1.0, abs(fit.neg_loglik))
+    gradient = float(np.max(np.abs(best.jac))) / scale
+    omega_gain = -best.jac[0] / omega * sample_var / scale
+    if gradient > GRADIENT_TOL or omega_gain > OMEGA_GAIN_TOL:
+        raise ConvergenceError(f"scaled gradient norm {gradient:.3g} (limit {GRADIENT_TOL:g}), "
+                               f"gain {omega_gain:.3g} from raising omega = {omega:.3g} "
+                               f"(limit {OMEGA_GAIN_TOL:g})", best=fit)
     return fit
 
 
@@ -321,6 +320,8 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
             prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
             raise ExperimentAborted(f"GARCH refit failed at step {t - window}: {exc}",
                                     prefix) from exc
+        logger.info("refit at step %d: omega=%.6g a=%.6g b=%.6g nll=%.6f bfgs_iterations=%d",
+                    t - window, *astuple(fit.params), fit.neg_loglik, fit.iterations)
         if t == window:
             fitted[:window] = fit.sigma2_path
         fitted[t:stop] = path[1:]

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adaptive_conformal.cli import main
-from adaptive_conformal.io import read_trajectory, write_prices, write_trajectory
+from adaptive_conformal.election import generate_synthetic_counties
+from adaptive_conformal.io import read_trajectory, write_counties, write_prices, write_trajectory
 from adaptive_conformal.volatility import GarchParams, simulate_garch_prices
 
 
@@ -172,6 +174,18 @@ class TestElectionCommand:
         for name in ("trajectory.csv", "summary.json"):
             assert (synthetic / name).read_bytes() == (replayed / name).read_bytes()
 
+    def test_labels_with_commas_and_quotes_round_trip(self, tmp_path):
+        counties = [replace(c, id=f'county-{i:05d}, "NM"')
+                    for i, c in enumerate(generate_synthetic_counties(560, 2, seed=3))]
+        path, out = tmp_path / "counties.csv", tmp_path / "out"
+        write_counties(path, counties)
+        assert run(["election", "--counties", str(path), "--warmup", "500",
+                    "--refit-every", "30", "--seed", "3", "--out", str(out)]) == 0
+        assert run(["report", "--in", str(out / "trajectory.csv")]) == 0
+        report, _ = read_trajectory(out / "trajectory.csv")
+        assert len(report) == 60
+        assert set(report.step_labels) <= {c.id for c in counties}
+
 
 class TestSimulateCommand:
     def test_theory_report_fields(self, tmp_path):
@@ -230,6 +244,19 @@ class TestReportCommand:
         path.write_text("\n".join(lines) + "\n")
         assert run(["report", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["local_window"] == 500
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--alpha", "0.9999999999999"], id="alpha"),
+        pytest.param(["--update", "weighted", "--decay", "0.9999999999999"], id="decay"),
+    ])
+    def test_full_precision_config_reads_back(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert run(["volatility", "--synthetic", "300", "--window", "100", "--refit-every",
+                    "100", "--out", str(out)] + flags) == 0
+        assert run(["report", "--in", str(out / "trajectory.csv")]) == 0
+        report, _ = read_trajectory(out / "trajectory.csv")
+        assert 0.9999999999999 in (report.config_echo.target_miscoverage,
+                                   report.config_echo.decay)
 
     def test_window_override(self, tmp_path):
         from test_io import make_report

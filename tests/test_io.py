@@ -133,6 +133,8 @@ class TestCounties:
         pytest.param(4, "nan", ValidationError, id="nan-y-prev"),
         pytest.param(5, "inf", ValidationError, id="infinite-y"),
         pytest.param(0, "c\udcff", ParseError, id="not-utf8"),
+        pytest.param(0, '"c\n2"', ValidationError, id="line-break-in-id"),
+        pytest.param(0, "c\x1c2", ValidationError, id="separator-in-id"),
     ])
     def test_bad_row_names_line(self, tmp_path, column, value, error):
         path = tmp_path / "bad.csv"
@@ -244,23 +246,24 @@ class TestTrajectory:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 BOUND = st.floats(allow_nan=False)
-LABEL = st.text(string.ascii_letters + string.digits + "-_.: ", max_size=12)
+LABEL = st.text(string.ascii_letters + string.digits + '-_.: ,"', max_size=12)
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 @st.composite
 def reports(draw):
-    """Any report the writer accepts, with a config whose echo reads back."""
+    """Any report the writer accepts, with a full-precision config."""
     n = draw(st.integers(1, 30))
 
     def column(elements):
         return draw(st.lists(elements, min_size=n, max_size=n))
 
     config = AciConfig(
-        target_miscoverage=draw(st.integers(1, 999)) / 1000,
+        target_miscoverage=draw(UNIT),
         step_size=draw(st.floats(0.0, 10.0)),
         initial_level=draw(st.floats(0.0, 1.0)),
         update_rule=draw(st.sampled_from(["simple", "weighted"])),
-        decay=draw(st.integers(1, 999)) / 1000,
+        decay=draw(UNIT),
     )
     return TrajectoryReport(
         errs=column(st.integers(0, 1)),
@@ -300,6 +303,8 @@ class TestTrajectoryProperties:
         back, recorded = read_trajectory(first)
         write_trajectory(second, back, local_window=recorded)
         assert first.read_bytes() == second.read_bytes()
+        assert back.config_echo == report.config_echo
+        assert back.step_labels == report.step_labels
 
     @given(data=st.binary(max_size=400) | edited_trajectories())
     def test_arbitrary_bytes_raise_only_file_errors(self, tmp_path_factory, data):

@@ -1,9 +1,12 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import approx_fprime
 
+from adaptive_conformal import volatility
 from adaptive_conformal.conformal import PredictionInterval
 from adaptive_conformal.core import AciConfig
 from adaptive_conformal.errors import (
@@ -17,6 +20,9 @@ from adaptive_conformal.errors import (
 from adaptive_conformal.volatility import (
     GarchFit,
     GarchParams,
+    _nll_and_grad,
+    _pack,
+    default_regime_prices,
     fit_garch,
     forecast_next_sigma2,
     forecast_stream,
@@ -173,6 +179,47 @@ class TestFit:
             start = GarchParams(v * (1 - a0 - b0), a0, b0)
             assert fit.neg_loglik <= garch_neg_loglik(start, rets) + 1e-9
 
+    @pytest.mark.parametrize("case", range(12))
+    def test_gradient_matches_finite_differences(self, case):
+        # Cases cycle through interior parameters, a + b within 1e-6..1e-3 of
+        # 1, and omega between 1e-25 and 1e-12.
+        rng = np.random.default_rng(100 + case)
+        rets = simulate_garch_returns(int(rng.integers(30, 400)), GarchParams(1e-5, 0.08, 0.9),
+                                      rng)
+        s0 = float(np.var(rets))
+        a = rng.uniform(0.02, 0.3)
+        omega, b = [(s0 * rng.uniform(0.05, 1.0), rng.uniform(0.01, 0.6)),
+                    (s0 * 1e-3, 1.0 - a - 10 ** rng.uniform(-6, -3)),
+                    (10 ** rng.uniform(-25, -12), rng.uniform(0.5, 0.65))][case % 3]
+        x = _pack(omega, a, b)
+        _, grad = _nll_and_grad(x, rets, s0)
+        ref = approx_fprime(x, lambda y: _nll_and_grad(y, rets, s0)[0], 1e-7)
+        assert np.max(np.abs(grad - ref)) <= 1e-5 * np.max(np.abs(ref))
+        # d nll / d omega itself, which the boundary test reads, on the data's scale.
+        ref_omega = approx_fprime([omega], lambda w: _nll_and_grad(_pack(w[0], a, b), rets,
+                                                                   s0)[0], 1e-8 * s0)
+        assert grad[0] / omega == pytest.approx(ref_omega[0], rel=1e-5)
+
+    def test_regime_window_fit_keeps_omega_off_zero(self):
+        # A refit window of the bundled regime series where a search that
+        # tested only the log-omega gradient stopped at omega ~ 5e-23, a + b
+        # at 1, several nats worse than the interior optimum.
+        rets = returns_from_prices(default_regime_prices(2600, np.random.default_rng(201)))
+        fit = fit_garch(rets[210:2210])
+        assert fit.params.omega > 1e-9
+
+    def test_search_stalled_at_zero_omega_is_rejected(self, monkeypatch):
+        # Every search starts at that stalled point, where BFGS stops at once:
+        # its gradient in the search coordinates is ~2e-6, but raising omega
+        # gains about 0.85 on the data's scale.
+        rets = returns_from_prices(default_regime_prices(2600, np.random.default_rng(201)))
+        stalled = _pack(4.8e-23, 0.07199822713703474, 0.9280017727629652)
+        search = volatility.minimize
+        monkeypatch.setattr(volatility, "minimize", lambda f, x0, **kw: search(f, stalled, **kw))
+        with pytest.raises(ConvergenceError, match="raising omega") as err:
+            fit_garch(rets[210:2210])
+        assert err.value.best.params.omega < 1e-20
+
     def test_convergence_error_carries_best_fit(self):
         rets = simulate_garch_returns(500, GarchParams(0.05, 0.1, 0.85), np.random.default_rng(3))
         with pytest.raises(ConvergenceError) as err:
@@ -261,6 +308,16 @@ class TestExperiment:
         clean = run_volatility_experiment(prices[: 61 + steps], self.CONFIG, window=60,
                                           refit_every=5)
         assert replace(partial, valid=True) == clean
+
+    def test_refits_are_logged_at_info(self, caplog):
+        rets = returns_from_prices(self._prices(200, seed=47))
+        with caplog.at_level(logging.INFO, logger="adaptive_conformal.volatility"):
+            forecast_stream(rets, 60, 45)
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.split(":")[0] for line in lines] == [
+            f"refit at step {k}" for k in (0, 45, 90, 135)]
+        assert all("omega=" in line and "nll=" in line and "bfgs_iterations=" in line
+                   for line in lines)
 
     def test_stream_replay_matches_direct_run(self):
         prices = self._prices(260, seed=43)
