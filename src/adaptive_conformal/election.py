@@ -16,16 +16,18 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.optimize import linprog  # noqa: F401  (perfbench/tracer.py rebinds election.linprog)
 
 from . import core
 from .conformal import CqrScore, empirical_quantile
-from .errors import ConfigurationError, DegenerateDataError, DomainError, NoDataError
+from .errors import ConfigurationError, ConvergenceError, DomainError, NoDataError
 from .metrics import TrajectoryReport, replay
 
 logger = logging.getLogger(__name__)
 
-RIDGE_PENALTY = 1e-8
+GAP_TOL = 1e-9
+MAX_ITERATIONS = 100
 
 
 def pinball_loss(residual, level: float):
@@ -45,18 +47,19 @@ class QrModel:
     intercept: float
     coefficients: np.ndarray
     regularized: bool = False
+    iterations: int = 0
 
     def predict(self, design) -> np.ndarray:
-        design = np.atleast_2d(np.asarray(design, dtype=float))
-        return self.intercept + design @ self.coefficients
+        return self.intercept + np.asarray(design, dtype=float) @ self.coefficients
 
 
 def fit_quantile_regression(design, responses, level: float) -> QrModel:
     """Minimize the mean pinball loss of ``responses - intercept - design @ beta``.
 
-    Full-rank designs are solved exactly as a linear program. Rank-deficient
-    designs (common on small random splits) fall back to a smoothed objective
-    with a tiny ridge penalty and are flagged ``regularized``.
+    Frisch-Newton interior point (R's ``quantreg::rq.fit.fnb``) on the dual LP
+    over ``lam`` in ``[level - 1, level]`` with ``design1.T @ lam = 0``; beta is
+    minus its multipliers. Stops at a duality gap of ``GAP_TOL * sum(|responses|)``
+    or raises ``ConvergenceError``; a rank-deficient design is flagged ``regularized``.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     responses = np.asarray(responses, dtype=float)
@@ -68,46 +71,55 @@ def fit_quantile_regression(design, responses, level: float) -> QrModel:
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must lie in (0, 1), got {level}")
     design1 = np.column_stack([np.ones(n), design])
-    if np.linalg.matrix_rank(design1) < d + 1:
-        logger.warning("rank-deficient design (n=%d, d=%d); using ridge fallback", n, d)
-        return _fit_ridge_smoothed(design1, responses, level)
+    x, s = np.full(n, 1.0 - level), np.full(n, level)  # x = lam + 1 - level in [0, 1]; s = 1 - x
+    # Start from the least-squares dual point; its residual splits into z - w.
+    dual, _, rank, _ = np.linalg.lstsq(design1, -responses, rcond=None)
+    if rank < d + 1:
+        logger.warning("rank-deficient design (n=%d, d=%d); coefficients are not unique", n, d)
+    r = -responses - design1 @ dual
+    shift = 0.1 * float(np.mean(np.abs(r)))  # off the boundary, and better centred
+    z, w = np.maximum(r, 0.0) + shift, np.maximum(-r, 0.0) + shift
+    tol = GAP_TOL * float(np.sum(np.abs(responses)))
+    for iterations in range(MAX_ITERATIONS + 1):
+        resid = responses + design1 @ dual  # responses - design1 @ beta
+        if np.sum(np.maximum(resid, 0.0)) - x @ resid <= tol:  # gap of beta and lam; NaN fails
+            break
+        if iterations == MAX_ITERATIONS:
+            raise ConvergenceError(f"no convergence in {iterations} iterations", best=-dual)
+        xi, si = 1.0 / x, 1.0 / s
+        q = 1.0 / (z * xi + w * si)
+        normal = (design1.T * q) @ design1
+        normal[np.diag_indices(d + 1)] += 1e-12 * np.trace(normal) / (d + 1)
+        factor, info = dpotrf(normal)
+        if info:
+            raise ConvergenceError("normal matrix is not positive definite", best=-dual)
+        # Predictor: the affine direction; it also restores design1.T @ lam = 0.
+        rhs = (q * (z - w) - x + 1.0 - level) @ design1
+        dy = dpotrs(factor, rhs)[0]
+        dx = q * (design1 @ dy - z + w)
+        dz, dw = -z * (dx * xi + 1.0), w * (dx * si - 1.0)
+        fp, fd = _max_step((x, dx), (s, -dx)), _max_step((z, dz), (w, dw))
+        if min(fp, fd) < 1.0:
+            # Corrector: Mehrotra's centring target mu plus the second-order terms.
+            mu = x @ z + s @ w
+            g = (x + fp * dx) @ (z + fd * dz) + (s - fp * dx) @ (w + fd * dw)
+            mu *= (g / mu) ** 3 / (2 * n)
+            dxdz, dsdw = dx * dz, -dx * dw
+            dr = q * (mu * (si - xi) + dxdz * xi - dsdw * si)
+            dy = dpotrs(factor, rhs + dr @ design1)[0]
+            dx = q * (design1 @ dy - z + w) - dr
+            dz, dw = (mu - dxdz - z * dx) * xi - z, (mu - dsdw + w * dx) * si - w
+            fp, fd = _max_step((x, dx), (s, -dx)), _max_step((z, dz), (w, dw))
+        x, s = x + fp * dx, s - fp * dx
+        dual, z, w = dual + fd * dy, z + fd * dz, w + fd * dw
+    return QrModel(level=level, intercept=-float(dual[0]), coefficients=-dual[1:],
+                   regularized=rank < d + 1, iterations=iterations)
 
-    # Dual of the pinball LP: max responses @ lam subject to design1.T @ lam = 0
-    # and lam in [level - 1, level]; the coefficient vector is recovered from
-    # the equality-constraint multipliers.
-    res = linprog(
-        -responses,
-        A_eq=design1.T,
-        b_eq=np.zeros(d + 1),
-        bounds=[(level - 1.0, level)] * n,
-        method="highs",
-    )
-    if not res.success:
-        raise DegenerateDataError(f"quantile-regression LP failed: {res.message}")
-    beta = -np.asarray(res.eqlin.marginals, dtype=float)
-    return QrModel(level=level, intercept=float(beta[0]), coefficients=beta[1:].copy())
 
-
-def _fit_ridge_smoothed(design1, responses, level):
-    """Ridge-penalized pinball fit via a mildly smoothed objective."""
-    n, d1 = design1.shape
-    kappa = 1e-7 * max(1.0, float(np.std(responses)))
-
-    def objective(beta):
-        resid = responses - design1 @ beta
-        # Quadratic smoothing of the kink inside |resid| < kappa.
-        abs_r = np.abs(resid)
-        smooth = np.where(abs_r <= kappa, resid**2 / (2 * kappa) + kappa / 2, abs_r)
-        loss = float(np.mean(0.5 * smooth + (level - 0.5) * resid))
-        return loss + RIDGE_PENALTY * float(np.sum(beta[1:] ** 2))
-
-    beta0 = np.zeros(d1)
-    beta0[0] = float(np.quantile(responses, level))
-    res = minimize(objective, beta0, method="Powell", options={"maxiter": 5000, "xtol": 1e-10})
-    beta = res.x
-    return QrModel(
-        level=level, intercept=float(beta[0]), coefficients=beta[1:].copy(), regularized=True
-    )
+def _max_step(*pairs) -> float:
+    """0.99995 (as in rq.fit.fnb) of the step to the first ``v + step * dv = 0``, at most 1."""
+    peak = max(float(np.max(-dv / v)) for v, dv in pairs)  # the inverse of that step
+    return 0.99995 / max(peak, 0.99995)
 
 
 def sample_ordering(populations, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -253,7 +265,7 @@ def cqr_prediction_stream(
     seq = [counties[i] for i in ordering]
     design = np.array([c.covariates for c in seq])
     residuals = np.array([c.residual for c in seq])
-    q_lo, q_hi = np.empty(n - warmup), np.empty(n - warmup)
+    q_lo, q_hi = np.empty(n), np.empty(n)
     cal_scores = []
     for start in range(warmup, n, refit_every):
         n_train = int(math.floor(start * (1.0 - cal_frac)))
@@ -268,13 +280,14 @@ def cqr_prediction_stream(
         x_cal = (design[cal_idx] - mean) / scale
         cal = CqrScore(lo_model.predict(x_cal), hi_model.predict(x_cal))
         cal_scores.append(cal.score(residuals[cal_idx]))
-        for t in range(start, min(start + refit_every, n)):
-            x_t = (design[t] - mean) / scale
-            q_lo[t - warmup] = lo_model.predict(x_t)[0]
-            q_hi[t - warmup] = hi_model.predict(x_t)[0]
+        x_next = (design[start : start + refit_every] - mean) / scale
+        q_lo[start : start + refit_every] = lo_model.predict(x_next)
+        q_hi[start : start + refit_every] = hi_model.predict(x_next)
+        logger.info("refit at step %d: lower_iterations=%d upper_iterations=%d rank_deficient=%s",
+                    start - warmup, lo_model.iterations, hi_model.iterations, lo_model.regularized)
     predicted = seq[warmup:]
     return CqrStream(tuple(c.id for c in predicted), np.array([c.y_prev for c in predicted]),
-                     residuals[warmup:], q_lo, q_hi, cal_scores, refit_every)
+                     residuals[warmup:], q_lo[warmup:], q_hi[warmup:], cal_scores, refit_every)
 
 
 def replay_prediction_stream(stream: CqrStream, aci_config: core.AciConfig) -> TrajectoryReport:

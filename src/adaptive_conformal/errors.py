@@ -20,7 +20,7 @@ class DomainError(AdaptiveConformalError, ValueError):
 
 
 class DegenerateDataError(AdaptiveConformalError):
-    """Data carries no usable signal (e.g. constant returns, rank-deficient design)."""
+    """Data carries no usable signal (e.g. constant returns)."""
 
 
 class ConvergenceError(AdaptiveConformalError):

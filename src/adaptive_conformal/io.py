@@ -47,6 +47,12 @@ def parse_finite(text: str, line: int) -> float:
     return value
 
 
+def _require_one_line(what: str, label: str, line: int | None = None) -> None:
+    """A label with a line break would split its trajectory row in two."""
+    if len(f"{label}.".splitlines()) > 1:
+        raise ValidationError(f"{what} must not hold a line break: {label!r}", line=line)
+
+
 def _read_text(path) -> str:
     """A file's UTF-8 text; an undecodable byte is a ParseError naming its line."""
     data = Path(path).read_bytes()
@@ -141,8 +147,7 @@ def read_counties(path):
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=i)
-        if len(f"{row[0]}.".splitlines()) > 1:  # a trajectory row must stay one line
-            raise ValidationError(f"id must not hold a line break: {row[0]!r}", line=i)
+        _require_one_line("id", row[0], line=i)
         population = parse_finite(row[1], i)
         covariates = np.array([parse_finite(v, i) for v in row[2 : 2 + d]])
         y_prev = parse_finite(row[2 + d], i)
@@ -185,6 +190,8 @@ def _config_meta(config: AciConfig) -> str:
 
 def write_trajectory(path, report: TrajectoryReport, local_window: int) -> None:
     """Serialize a trajectory with its configuration echoed in comment lines."""
+    for label in report.step_labels:
+        _require_one_line("label", label)
     n = len(report)
     local = [""] * n
     if 2 <= local_window <= n and local_window % 2 == 0:

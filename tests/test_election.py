@@ -1,8 +1,10 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.stats import chi2
 
 from adaptive_conformal import election
@@ -19,7 +21,12 @@ from adaptive_conformal.election import (
     run_election_experiment,
     sample_ordering,
 )
-from adaptive_conformal.errors import ConfigurationError, DomainError, NoDataError
+from adaptive_conformal.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DomainError,
+    NoDataError,
+)
 
 
 def mean_pinball(responses, design, model):
@@ -91,6 +98,67 @@ class TestQuantileRegression:
         m2 = fit_quantile_regression(X, y, 0.05)
         assert m1.intercept == m2.intercept
         np.testing.assert_array_equal(m1.coefficients, m2.coefficients)
+
+
+def qr_corpus(count=1000, seed=0):
+    """Seeded designs: d in 0..5, n in d+1..200, extreme and random levels,
+    tied integer responses, duplicated columns, a 1e4 offset, Cauchy noise."""
+    rng = np.random.default_rng(seed)
+    levels = [0.001, 0.05, 0.5, 0.95, 0.999]
+    for k in range(count):
+        d = int(rng.integers(0, 6))
+        n = int(rng.integers(d + 1, 201))
+        level = levels[k % 5] if k % 10 < 5 else float(rng.uniform(0.01, 0.99))
+        X = rng.normal(size=(n, d))
+        kind = k % 4
+        if kind == 0:
+            y = X @ rng.normal(size=d) + rng.normal(size=n)
+        elif kind == 1:
+            X = np.round(X)
+            y = rng.integers(0, 4, size=n).astype(float)
+        elif kind == 2:
+            y = 1e4 + X @ rng.normal(size=d) + rng.normal(size=n)
+        else:
+            y = X @ rng.normal(size=d) + rng.standard_cauchy(size=n)
+        if d >= 2 and k % 7 == 0:
+            X[:, 1] = X[:, 0]
+        yield X, y, level
+
+
+def linprog_pinball(design, responses, level):
+    """Mean pinball loss at the optimum of the dual LP, solved by HiGHS."""
+    n, d = design.shape
+    design1 = np.column_stack([np.ones(n), design])
+    res = linprog(-responses, A_eq=design1.T, b_eq=np.zeros(d + 1),
+                  bounds=[(level - 1.0, level)] * n, method="highs")
+    assert res.success, res.message
+    beta = -res.eqlin.marginals
+    return float(np.mean(pinball_loss(responses - design1 @ beta, level)))
+
+
+class TestInteriorPoint:
+    @pytest.mark.filterwarnings("error")
+    def test_matches_linprog_on_corpus(self):
+        worst = -math.inf
+        for X, y, level in qr_corpus():
+            model = fit_quantile_regression(X, y, level)
+            excess = (mean_pinball(y, X, model) - linprog_pinball(X, y, level)) / np.mean(np.abs(y))
+            worst = max(worst, excess)
+        assert worst <= 1e-9
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(election, "MAX_ITERATIONS", 1)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(120, 3))
+        y = X @ np.array([2.0, -1.0, 0.5]) + rng.standard_t(df=4, size=120)
+        with pytest.raises(ConvergenceError):
+            fit_quantile_regression(X, y, 0.3)
+
+    def test_exact_fit_needs_no_iterations(self):
+        X = np.random.default_rng(1).normal(size=(30, 2))
+        model = fit_quantile_regression(X, np.zeros(30), 0.9)
+        assert model.iterations == 0
+        np.testing.assert_array_equal(model.coefficients, 0.0)
 
 
 class TestOrdering:
@@ -233,6 +301,24 @@ class TestExperiment:
         expected = CqrScore(np.full(cal.size, 0.05), np.full(cal.size, -0.05)).score(cal)
         np.testing.assert_array_equal(stream.cal_scores[0], expected)
         np.testing.assert_array_equal(expected, np.abs(cal) - 0.05)
+
+    def test_info_log_has_one_line_per_refit(self, caplog, monkeypatch):
+        models = []
+
+        def recording_fit(*args):
+            models.append(fit_quantile_regression(*args))
+            return models[-1]
+
+        monkeypatch.setattr(election, "fit_quantile_regression", recording_fit)
+        counties, order = self._setup(n=560)
+        with caplog.at_level(logging.INFO, logger="adaptive_conformal.election"):
+            cqr_prediction_stream(counties, order, 0.1, warmup=500, refit_every=30,
+                                  rng=np.random.default_rng(6))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refit")]
+        assert len(models) == 4 and all(m.iterations > 0 for m in models)
+        assert lines == [f"refit at step {step}: lower_iterations={lo.iterations} "
+                         f"upper_iterations={hi.iterations} rank_deficient=False"
+                         for step, lo, hi in zip((0, 30), models[::2], models[1::2])]
 
     def test_too_few_counties(self):
         counties, order = self._setup(n=100)

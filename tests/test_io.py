@@ -1,6 +1,7 @@
 import math
 import string
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,17 @@ class TestTrajectory:
         with pytest.raises(error) as err:
             read_trajectory(path)
         assert err.value.line == 6
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\r\nb", "a\rb", "a\x1cb", "a\u2028b"])
+    def test_label_with_line_break_rejected(self, tmp_path, label):
+        # Read back row by row, such a label would come back as two lines or a
+        # different label; the writer refuses it instead.
+        report = make_report(n=5)
+        labels = list(report.step_labels)
+        labels[2] = label
+        with pytest.raises(ValidationError, match="line break"):
+            write_trajectory(tmp_path / "t.csv", replace(report, step_labels=tuple(labels)), 4)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_bad_err_value(self, tmp_path):
         report = make_report(n=10)
