@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except (AdaptiveConformalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; reduce the problem size", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -68,6 +68,26 @@ def _columns(lower, upper) -> PredictionInterval:
     return PredictionInterval(np.where(empty, INF, lower)[()], np.where(empty, -INF, upper)[()])
 
 
+def quantile_rank(n: int, p: float) -> int:
+    """Smallest integer k with k / n >= p, decided in float arithmetic; p in (0, 1]."""
+    k = math.ceil(p * n)  # off by one either way when p * n rounds
+    while k > 1 and (k - 1) / n >= p:
+        k -= 1
+    while k / n < p:
+        k += 1
+    return k
+
+
+def calibration_scores(scores) -> np.ndarray:
+    """``scores`` as a float array; raises unless they form a nonempty finite set."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.size == 0:
+        raise NoDataError("empty calibration set")
+    if not np.isfinite(scores).all():
+        raise DomainError("calibration scores must be finite")
+    return scores
+
+
 def empirical_quantile(scores, p: float) -> float:
     """Smallest value s with #{scores <= s} / n >= p.
 
@@ -79,18 +99,8 @@ def empirical_quantile(scores, p: float) -> float:
         return INF
     if p <= 0.0:
         return -INF
-    scores = np.asarray(scores, dtype=float)
-    n = scores.size
-    if n == 0:
-        raise NoDataError("empty calibration set")
-    if not np.isfinite(scores).all():
-        raise DomainError("calibration scores must be finite")
-    # k = smallest integer with k/n >= p, robust to float rounding in p * n.
-    k = math.ceil(p * n)
-    while k > 1 and (k - 1) / n >= p:
-        k -= 1
-    while k / n < p:
-        k += 1
+    scores = calibration_scores(scores)
+    k = quantile_rank(scores.size, p)
     return float(np.partition(scores, k - 1)[k - 1])
 
 

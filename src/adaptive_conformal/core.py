@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigurationError, DomainError, NoDataError
 
 SIMPLE = "simple"
@@ -95,6 +97,32 @@ def next_level(config: AciConfig, level, err, num, den):
         den = config.decay * den + 1.0
         feedback = num / den
     return level + config.step_size * (config.target_miscoverage - feedback), num, den
+
+
+def run_level_batch(config: AciConfig, levels, strict: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The level recursion over exceedance levels: the one loop every runner goes through.
+
+    Step t misses when ``levels[t] > 1 - alpha_t`` (``strict``), else when
+    ``levels[t] >= 1 - alpha_t``. A 1-D row runs on Python floats; the rows of a
+    (reps, horizon) batch evolve independently on numpy columns. Returns
+    (alphas, errs) shaped like ``levels``; ``alphas[..., t]`` is in force at step t.
+    """
+    levels = np.asarray(levels, dtype=float)
+    alphas = np.empty(levels.shape)
+    errs = np.empty(levels.shape, dtype=np.int8)
+    alpha_out, err_out = alphas.T, errs.T  # step t fills column t (a row's .T is the row)
+    row = levels.ndim == 1  # a float step costs far less than a one-entry numpy step
+    a = config.initial_level if row else np.full(levels.shape[0], float(config.initial_level))
+    num = den = 0.0
+    for t, u in enumerate(levels.tolist() if row else levels.T):
+        # A negative level covers the whole line. Levels never exceed 1, so a
+        # strict comparison already gives no error there; a non-strict one
+        # could, because 1 - a rounds to 1 for tiny negative a.
+        p = 1.0 - a
+        err = u > p if strict else (u >= p) & (a >= 0.0)
+        alpha_out[t], err_out[t] = a, err
+        a, num, den = next_level(config, a, err, num, den)
+    return alphas, errs
 
 
 def update(state: AciState, err: int) -> AciState:

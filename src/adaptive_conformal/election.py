@@ -20,7 +20,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracer.py rebinds election.linprog)
 
 from . import core
-from .conformal import CqrScore, empirical_quantile
+from .conformal import CqrScore, calibration_scores
+from .conformal import empirical_quantile  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .errors import ConfigurationError, ConvergenceError, DomainError, NoDataError
 from .metrics import TrajectoryReport, replay
 
@@ -298,10 +299,11 @@ def replay_prediction_stream(stream: CqrStream, aci_config: core.AciConfig) -> T
     ``(inf, -inf)`` entry to itself.
     """
     residual_sets = CqrScore(stream.q_lo, stream.q_hi)
+    sets = [np.sort(calibration_scores(s)).tolist() for s in stream.cal_scores]
     report = replay(
         aci_config,
         residual_sets.score(stream.residual),
-        lambda k, p: empirical_quantile(stream.cal_scores[k // stream.refit_every], p),
+        lambda: (sets[k // stream.refit_every] for k in range(len(stream.labels))),
         residual_sets.interval,
         stream.labels,
     )

@@ -18,7 +18,8 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from . import bounds, core
-from .conformal import PredictionInterval, empirical_quantile
+from .conformal import empirical_quantile
+from .core import run_level_batch
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -26,7 +27,7 @@ from .errors import (
     NonReversibleChainError,
     RootFindingError,
 )
-from .metrics import TrajectoryReport, replay
+from .metrics import TrajectoryReport
 
 REVERSIBILITY_TOL = 1e-9
 ROOT_TOL = 1e-10
@@ -177,6 +178,8 @@ class EmpiricalQuantile:
         scores = np.sort(np.asarray(self.scores, dtype=float))
         if scores.size == 0:
             raise ConfigurationError("empty calibration snapshot")
+        if not np.isfinite(scores).all():
+            raise ConfigurationError("calibration snapshot scores must be finite")
         object.__setattr__(self, "scores", scores)
 
     def __call__(self, p: float) -> float:
@@ -201,32 +204,6 @@ def exceedance_levels(qhat: FixedQuantileFn, scores: np.ndarray) -> tuple[np.nda
     return below / qhat.scores.size, False
 
 
-def run_level_batch(
-    config: core.AciConfig, levels: np.ndarray, strict: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized adaptive-level recursion over replicated exceedance levels.
-
-    ``levels`` has shape (reps, horizon); rows evolve independently exactly
-    as repeated ``core.update`` calls would. Returns (alphas, errs) with
-    ``alphas[:, t]`` the level in force at step t.
-    """
-    levels = np.atleast_2d(np.asarray(levels, dtype=float))
-    reps, horizon = levels.shape
-    a, num, den = np.full(reps, float(config.initial_level)), 0.0, 0.0
-    alphas = np.empty((reps, horizon))
-    errs = np.empty((reps, horizon), dtype=np.int8)
-    for t in range(horizon):
-        # A negative level covers the whole line. Levels never exceed 1, so a
-        # strict comparison already gives no error there; a non-strict one
-        # could, because 1 - a rounds to 1 for tiny negative a.
-        p = 1.0 - a
-        err = levels[:, t] > p if strict else (levels[:, t] >= p) & (a >= 0.0)
-        alphas[:, t] = a
-        errs[:, t] = err
-        a, num, den = core.next_level(config, a, err, num, den)
-    return alphas, errs
-
-
 def run_fixed_quantile_aci(
     scores, qhat: FixedQuantileFn, config: core.AciConfig
 ) -> TrajectoryReport:
@@ -235,14 +212,13 @@ def run_fixed_quantile_aci(
     The per-step prediction set is the score sublevel set
     ``(-inf, qhat(1 - alpha_t)]``; its bounds are recorded as the interval.
     """
-    scores = np.asarray(scores, dtype=float)
-    return replay(
-        config,
-        scores,
-        lambda t, p: qhat(p),
-        lambda thresholds: PredictionInterval(np.full(scores.size, -math.inf), thresholds),
-        [str(t + 1) for t in range(scores.size)],
-    )
+    levels, strict = exceedance_levels(qhat, scores)
+    alphas, errs = run_level_batch(config, levels, strict)
+    # qhat(1 - alpha_t) is -inf from alpha_t = 1 on; a negative level covers
+    # the whole line, also where 1 - alpha_t rounds to 1.
+    upper = [math.inf if a < 0.0 else qhat(1.0 - a) for a in alphas.tolist()]
+    return TrajectoryReport(errs, alphas, np.full(levels.size, -math.inf), upper,
+                            tuple(str(t + 1) for t in range(levels.size)), config)
 
 
 def state_miscoverage(
@@ -318,6 +294,8 @@ def _stationary_bias(spec, qhat, config, reps, horizon, rng):
     """
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
+    if horizon < 1:
+        raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     if config.step_size <= 0.0:
         raise ConfigurationError("stationary runs need a positive step size")
     burn = math.ceil(20.0 / config.step_size)

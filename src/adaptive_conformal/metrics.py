@@ -8,12 +8,13 @@ defined where the full window fits and has length ``n - w + 1``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import err_indicator
-from .core import WEIGHTED, AciConfig, next_level, prop_bound
+from .conformal import quantile_rank
+from .core import WEIGHTED, AciConfig, prop_bound, run_level_batch
 from .errors import ConfigurationError, NoDataError
 
 #: Centered-window sizes used by the two experiment pipelines.
@@ -66,28 +67,25 @@ class TrajectoryReport:
         )
 
 
-def replay(config: AciConfig, scores, quantile_at, interval, labels) -> TrajectoryReport:
+def replay(config: AciConfig, scores, calibration, interval, labels) -> TrajectoryReport:
     """Run the adaptive-level recursion over a level-independent prediction stream.
 
-    Step ``t`` realizes the conformity score ``scores[t]``. Its threshold is
-    ``quantile_at(t, 1 - alpha_t)``; it is ``+inf`` (the whole line) when
-    ``alpha_t < 0``, decided on ``alpha_t`` because ``1 - alpha_t`` rounds to 1
-    for tiny negative levels, and ``-inf`` (the empty set) when ``alpha_t >= 1``.
-    The miss bit is ``err_indicator(scores[t], threshold)`` and ``next_level``
-    moves the level. After the loop one call, ``interval(thresholds)``, maps
-    the threshold column to the interval columns, so a bit and its interval
-    can never disagree.
+    Step ``t`` realizes ``scores[t]`` against ``cal``, the ``t``-th sorted list that
+    ``calibration()`` yields, and misses when its exceedance rank ``#{cal < score} / n``
+    is at least ``1 - alpha_t``: exactly when it exceeds the threshold ``cal[k - 1]``,
+    ``k = quantile_rank(n, 1 - alpha_t)``. The threshold is ``+inf`` (the whole line)
+    when ``alpha_t < 0``, decided on ``alpha_t`` because ``1 - alpha_t`` rounds to 1
+    for tiny negative levels, and ``-inf`` (the empty set) when ``alpha_t >= 1``. One
+    ``interval(thresholds)`` call maps it to the interval columns, so a bit and its
+    interval cannot disagree.
     """
     scores = np.asarray(scores, dtype=float)
-    alphas, thresholds = np.empty(scores.size), np.empty(scores.size)
-    errs = np.empty(scores.size, dtype=np.int8)
-    a, num, den = config.initial_level, 0.0, 0.0
-    for t, score in enumerate(scores.tolist()):
-        threshold = math.inf if a < 0.0 else -math.inf if a >= 1.0 else quantile_at(t, 1.0 - a)
-        err = err_indicator(score, threshold)
-        errs[t], alphas[t], thresholds[t] = err, a, threshold
-        a, num, den = next_level(config, a, err, num, den)
-    sets = interval(thresholds)
+    ranks = [bisect_left(cal, s) / len(cal) for s, cal in zip(scores.tolist(), calibration())]
+    alphas, errs = run_level_batch(config, np.array(ranks), False)
+    thresholds = [math.inf if a < 0.0 else -math.inf if a >= 1.0
+                  else cal[quantile_rank(len(cal), 1.0 - a) - 1]
+                  for a, cal in zip(alphas.tolist(), calibration())]
+    sets = interval(np.array(thresholds))
     return TrajectoryReport(errs=errs, alphas=alphas, lower=sets.lower, upper=sets.upper,
                             step_labels=tuple(labels), config_echo=config)
 

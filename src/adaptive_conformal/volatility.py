@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, insort
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from . import core
-from .conformal import NormalizedScore, empirical_quantile
+from .conformal import NormalizedScore, empirical_quantile  # noqa: F401  (perfbench/tracer.py)
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -328,6 +329,16 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
     return fitted[window:], NormalizedScore(fitted).score(vol)
 
 
+def _sorted_windows(history: np.ndarray, window: int):
+    """Step ``k``'s window ``history[k : k + window]``: one sorted list, slid after each use."""
+    values = history.tolist()
+    win = sorted(values[:window])
+    for old, new in zip(values, values[window:]):
+        yield win
+        del win[bisect_left(win, old)]
+        insort(win, new)
+
+
 def replay_forecast_stream(
     sigma2: np.ndarray,
     history: np.ndarray,
@@ -340,12 +351,14 @@ def replay_forecast_stream(
     step carries the label of the return it predicts.
     """
     window = history.size - sigma2.size
+    if not np.isfinite(history).all():
+        raise DomainError("calibration scores must be finite")
     if labels is None:
         labels = [str(t) for t in range(1, history.size + 1)]
     return replay(
         aci_config,
         history[window:],
-        lambda k, p: empirical_quantile(history[k : k + window], p),
+        lambda: _sorted_windows(history, window),
         NormalizedScore(sigma2).interval,
         labels[window : history.size],
     )

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adaptive_conformal import hmm
 from adaptive_conformal.cli import main
 from adaptive_conformal.election import generate_synthetic_counties
 from adaptive_conformal.io import read_trajectory, write_counties, write_prices, write_trajectory
@@ -73,6 +74,27 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out" / "theory.json").exists()
+
+    @pytest.mark.parametrize("horizon", ["0", "-3000"])
+    def test_horizon_below_one_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                       horizon):
+        def no_simulation(*args):
+            raise AssertionError("simulated a run with horizon < 1")
+
+        monkeypatch.setattr(hmm, "simulate_hmm_batch", no_simulation)
+        assert run(["simulate", "--horizon", horizon, "--reps", "100",
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon must be >= 1") and err.count("\n") == 1
+
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.58 TiB for an array")
+
+        monkeypatch.setattr(hmm, "theory_suite", exhausted)
+        assert run(["simulate", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command,name,text", [
         pytest.param(["volatility", "--window", "60"], "prices.csv",

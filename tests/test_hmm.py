@@ -132,6 +132,12 @@ class TestQuantileFunctions:
         assert q(0.5) == 2.0
         assert q(-0.5) == -math.inf and q(1.5) == math.inf
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_empirical_quantile_rejects_non_finite(self, bad):
+        # exceedance_levels would count a NaN above every score.
+        with pytest.raises(ConfigurationError):
+            EmpiricalQuantile(np.array([0.0, bad, 1.0]))
+
 
 class TestFixedQuantileRunner:
     def test_forced_errors_outside_unit_interval(self):
