@@ -88,6 +88,15 @@ def calibration_scores(scores) -> np.ndarray:
     return scores
 
 
+def realized_scores(scores) -> np.ndarray:
+    """``scores`` as a float array; raises unless every realized score is finite."""
+    scores = np.asarray(scores, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise DomainError(f"realized scores must be finite; step {bad[0] + 1} is {scores[bad[0]]}")
+    return scores
+
+
 def empirical_quantile(scores, p: float) -> float:
     """Smallest value s with #{scores <= s} / n >= p.
 

@@ -265,6 +265,13 @@ def cqr_prediction_stream(
 
     seq = [counties[i] for i in ordering]
     design = np.array([c.covariates for c in seq])
+    # The first refit has the fewest observed counties to split.
+    first_train, d = math.floor(warmup * (1.0 - cal_frac)), design.shape[-1]
+    if first_train < d + 1 or first_train >= warmup:
+        raise ConfigurationError(
+            f"warmup = {warmup} with cal_frac = {cal_frac} splits the first refit into "
+            f"{first_train} training and {warmup - first_train} calibration rows; need at "
+            f"least d + 1 = {d + 1} and 1")
     residuals = np.array([c.residual for c in seq])
     q_lo, q_hi = np.empty(n), np.empty(n)
     cal_scores = []

@@ -32,7 +32,7 @@ class ConvergenceError(AdaptiveConformalError):
 
 
 class ErgodicityError(AdaptiveConformalError):
-    """A Markov chain has no unique stationary distribution reachable by iteration."""
+    """A Markov chain has no unique stationary distribution."""
 
 
 class NonReversibleChainError(AdaptiveConformalError):
@@ -40,7 +40,7 @@ class NonReversibleChainError(AdaptiveConformalError):
 
 
 class RootFindingError(AdaptiveConformalError):
-    """A bracketing root finder found no sign change."""
+    """For some state, no level in [0, 1] reaches miscoverage alpha."""
 
 
 class ParseError(AdaptiveConformalError):

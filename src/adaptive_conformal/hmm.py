@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import bounds, core
-from .conformal import empirical_quantile
+from .conformal import empirical_quantile, realized_scores
 from .core import run_level_batch
 from .errors import (
     ConfigurationError,
@@ -30,7 +28,6 @@ from .errors import (
 from .metrics import TrajectoryReport
 
 REVERSIBILITY_TOL = 1e-9
-ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,24 +77,20 @@ def symmetric_chain(n: int, p: float) -> np.ndarray:
     return (p - off) * np.eye(n) + off * np.ones((n, n))
 
 
-def stationary_distribution(transition, max_iter: int = 100_000, tol: float = 1e-13) -> np.ndarray:
-    """Stationary row vector by power iteration; requires an ergodic chain."""
-    p = np.asarray(transition, dtype=float)
-    n = p.shape[0]
-    eigvals = np.linalg.eigvals(p)
-    on_circle = int(np.sum(np.abs(eigvals) > 1.0 - 1e-8))
-    if on_circle != 1:
+def stationary_distribution(transition) -> np.ndarray:
+    """Stationary row vector: the left eigenvector of eigenvalue 1; requires an ergodic chain.
+
+    Normalizing |v| keeps rounding noise on transient states at >= 0.
+    """
+    eigvals, eigvecs = np.linalg.eig(np.asarray(transition, dtype=float).T)
+    on_circle = np.flatnonzero(np.abs(eigvals) > 1.0 - 1e-8)
+    if on_circle.size != 1:
         raise ErgodicityError(
-            f"chain has {on_circle} eigenvalues on the unit circle; no unique "
-            "stationary distribution reachable by iteration"
+            f"chain has {on_circle.size} eigenvalues on the unit circle; no unique "
+            "stationary distribution"
         )
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = pi @ p
-        if np.max(np.abs(nxt - pi)) < tol:
-            return nxt / nxt.sum()
-        pi = nxt
-    raise ErgodicityError(f"power iteration did not converge in {max_iter} iterations")
+    v = np.abs(eigvecs[:, on_circle[0]])
+    return v / v.sum()
 
 
 def spectral_gap(transition) -> float:
@@ -165,7 +158,7 @@ class NormalQuantile:
             return -math.inf
         if p > 1.0:
             return math.inf
-        return self.mean + self.scale * float(norm.ppf(p))
+        return self.mean + self.scale * float(ndtri(p))
 
 
 @dataclass(frozen=True)
@@ -210,9 +203,10 @@ def run_fixed_quantile_aci(
     """Adaptive calibration of a fixed quantile function over a score stream.
 
     The per-step prediction set is the score sublevel set
-    ``(-inf, qhat(1 - alpha_t)]``; its bounds are recorded as the interval.
+    ``(-inf, qhat(1 - alpha_t)]``; its bounds are recorded as the interval. A
+    non-finite score raises ``DomainError``.
     """
-    levels, strict = exceedance_levels(qhat, scores)
+    levels, strict = exceedance_levels(qhat, realized_scores(scores))
     alphas, errs = run_level_batch(config, levels, strict)
     # qhat(1 - alpha_t) is -inf from alpha_t = 1 on; a negative level covers
     # the whole line, also where 1 - alpha_t rounds to 1.
@@ -221,39 +215,22 @@ def run_fixed_quantile_aci(
                             tuple(str(t + 1) for t in range(levels.size)), config)
 
 
-def state_miscoverage(
-    spec: HmmSpec, qhat: FixedQuantileFn, state: int, level: float
-) -> float:
-    """P(score > qhat(1 - level)) for one state's normal score distribution."""
-    threshold = qhat(1.0 - level)
-    if threshold == math.inf:
-        return 0.0
-    if threshold == -math.inf:
-        return 1.0
-    z = (threshold - spec.score_means[state]) / spec.score_scales[state]
-    return float(norm.sf(z))
-
-
 def per_state_alpha_star(spec: HmmSpec, qhat: FixedQuantileFn, alpha: float) -> np.ndarray:
-    """Per-state root of ``miscoverage(level) = alpha``, by bisection on [0, 1]."""
+    """Per-state level alpha* at which ``P(score > qhat(1 - alpha*)) = alpha``.
+
+    A step misses when its exceedance level passes ``1 - alpha_t``, so alpha* is one
+    minus the exceedance level of the state's own ``1 - alpha`` score quantile. An
+    empirical snapshot wholly below that quantile (level 1, non-strict) misses more
+    than ``alpha`` at every level in [0, 1] and raises.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    out = np.empty(spec.n_states)
-    for a in range(spec.n_states):
-        g = lambda beta: state_miscoverage(spec, qhat, a, beta) - alpha  # noqa: E731
-        g0, g1 = g(0.0), g(1.0)
-        if g0 == 0.0:
-            out[a] = 0.0
-            continue
-        if g1 == 0.0:
-            out[a] = 1.0
-            continue
-        if g0 * g1 > 0.0:
-            raise RootFindingError(
-                f"state {a}: miscoverage has no crossing of {alpha} on [0, 1]"
-            )
-        out[a] = bisect(g, 0.0, 1.0, xtol=ROOT_TOL)
-    return out
+    levels, strict = exceedance_levels(
+        qhat, spec.score_means + spec.score_scales * ndtri(1.0 - alpha))
+    if not strict and levels.max() == 1.0:
+        raise RootFindingError(
+            f"state {int(np.argmax(levels))}: no level in [0, 1] reaches miscoverage {alpha}")
+    return 1.0 - levels
 
 
 @dataclass(frozen=True)

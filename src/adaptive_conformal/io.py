@@ -249,7 +249,10 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     except ValueError:
         raise ParseError(f"local_window is not an integer: {window_text!r}",
                          line=window_line) from None
-    valid = meta.get("valid", ("true", 1))[0] == "true"
+    valid_text, valid_line = meta.get("valid", ("true", 1))
+    if valid_text not in ("true", "false"):
+        raise ParseError(f"valid must be true or false, got {valid_text!r}", line=valid_line)
+    valid = valid_text == "true"
     numbers = [i for i, l in enumerate(raw, start=1) if not l.startswith("#")]
     rows = csv.reader(raw[i - 1] for i in numbers)
     if next(rows, None) != TRAJECTORY_HEADER:

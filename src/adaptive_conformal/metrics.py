@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import quantile_rank
+from .conformal import quantile_rank, realized_scores
 from .core import WEIGHTED, AciConfig, prop_bound, run_level_batch
 from .errors import ConfigurationError, NoDataError
 
@@ -77,9 +77,9 @@ def replay(config: AciConfig, scores, calibration, interval, labels) -> Trajecto
     when ``alpha_t < 0``, decided on ``alpha_t`` because ``1 - alpha_t`` rounds to 1
     for tiny negative levels, and ``-inf`` (the empty set) when ``alpha_t >= 1``. One
     ``interval(thresholds)`` call maps it to the interval columns, so a bit and its
-    interval cannot disagree.
+    interval cannot disagree. A non-finite score raises ``DomainError``.
     """
-    scores = np.asarray(scores, dtype=float)
+    scores = realized_scores(scores)
     ranks = [bisect_left(cal, s) / len(cal) for s, cal in zip(scores.tolist(), calibration())]
     alphas, errs = run_level_batch(config, np.array(ranks), False)
     thresholds = [math.inf if a < 0.0 else -math.inf if a >= 1.0

@@ -110,6 +110,17 @@ class TestExitCodes:
         assert run(command + [source, str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: line 3: ")
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--warmup", "-5", "warmup = -5 with cal_frac = 0.25"),
+        ("--cal-frac", "0.999", "warmup = 500 with cal_frac = 0.999"),
+    ])
+    def test_election_split_checked_before_fitting(self, tmp_path, capsys, flag, value,
+                                                   message):
+        assert run(["election", "--synthetic", "640", "--covariates", "3", flag, value,
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close\n2020-01-01,5\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
@@ -64,6 +64,16 @@ class TestStationaryAndGap:
     def test_periodic_chain_not_ergodic(self):
         with pytest.raises(ErgodicityError):
             stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_transient_state_gets_no_mass(self):
+        # State 0 leaves at rate 0.01 and never returns: pi = (0, 2/3, 1/3).
+        p = np.array([[0.99, 0.01, 0.0], [0.0, 0.9, 0.1], [0.0, 0.2, 0.8]])
+        pi = stationary_distribution(p)
+        assert np.all(pi >= 0.0) and pi[0] <= 1e-15
+        np.testing.assert_allclose(pi[1:], [2 / 3, 1 / 3], rtol=1e-12)
+        spec = HmmSpec(p, np.zeros(3), np.ones(3))
+        states, _ = simulate_hmm_batch(spec, 50, 200, np.random.default_rng(0))
+        assert not np.any(states == 0)
 
     def test_gap_two_state(self):
         # Eigenvalues {1, 0.8} so the gap is exactly 0.2.
@@ -152,6 +162,12 @@ class TestFixedQuantileRunner:
         down = AciConfig(0.1, 0.05, initial_level=0.04)
         rep = run_fixed_quantile_aci(np.array([10.0, 10.0]), qhat, down)
         assert rep.errs[0] == 1 and rep.alphas[1] < 0.0 and rep.errs[1] == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_is_rejected(self, bad):
+        with pytest.raises(DomainError, match="step 2"):
+            run_fixed_quantile_aci([0.5, bad, 0.5], EmpiricalQuantile([0.0, 1.0, 2.0]),
+                                   AciConfig(0.1, 0.05))
 
     def test_trajectory_satisfies_bounds(self):
         rng = np.random.default_rng(8)
@@ -244,18 +260,72 @@ class TestLevelBatchProperties:
             np.testing.assert_array_equal(errs[r], expected_errs)
 
 
+def bisected_alpha_star(spec, qhat, alpha):
+    """Per-state oracle levels by bisection of the miscoverage function.
+
+    Miscoverage ``P(score > qhat(1 - level))`` is nondecreasing in the level;
+    for an empirical snapshot it is a step function. The oracle level is where
+    it passes ``alpha``; none exists when it exceeds ``alpha`` already at level 0.
+    """
+    out = []
+    for a, (mean, scale) in enumerate(zip(spec.score_means, spec.score_scales)):
+        def misses(level):
+            return norm.sf((qhat(1.0 - level) - mean) / scale) > alpha
+
+        if misses(0.0) or not misses(1.0):
+            raise RootFindingError(f"state {a}: no crossing")
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if misses(mid) else (mid, hi)
+        out.append(hi)
+    return np.array(out)
+
+
+@st.composite
+def alpha_star_cases(draw):
+    """An HMM spec, a normal or empirical quantile function and a target level."""
+    n = draw(st.integers(1, 5))
+    unit = st.floats(0.2, 5.0)
+    means = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    scales = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    spec = HmmSpec(np.full((n, n), 1.0 / n), means, scales)
+    if draw(st.booleans()):
+        qhat = NormalQuantile(draw(st.floats(-2.0, 2.0)), draw(unit))
+    else:
+        qhat = EmpiricalQuantile(draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30)))
+    return spec, qhat, draw(st.floats(0.01, 0.99))
+
+
 class TestAlphaStar:
     def test_self_calibrated_case(self):
         spec = HmmSpec(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
         stars = per_state_alpha_star(spec, NormalQuantile(), 0.1)
-        assert stars[0] == pytest.approx(0.1, abs=1e-9)
+        assert stars[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_wide_state_closed_form(self):
         # Scores N(0, 2^2) against a standard-normal quantile: the oracle level
-        # is 1 - Phi(2 * z_0.9) = 0.00518706...
+        # is 1 - Phi(2 * z_0.9) = 0.005187061403669973 (16 significant digits).
         spec = HmmSpec(np.array([[1.0]]), np.array([0.0]), np.array([2.0]))
         stars = per_state_alpha_star(spec, NormalQuantile(), 0.1)
-        assert stars[0] == pytest.approx(0.005187061403669524, abs=1e-9)
+        assert stars[0] == pytest.approx(0.005187061403669973, abs=1e-15)
+
+    @given(case=alpha_star_cases())
+    def test_matches_bisection_of_miscoverage(self, case):
+        spec, qhat, alpha = case
+        if isinstance(qhat, EmpiricalQuantile):
+            # A snapshot score equal to a state's 1 - alpha quantile holds the
+            # miscoverage at alpha over a whole interval of levels.
+            quantiles = spec.score_means + spec.score_scales * norm.ppf(1.0 - alpha)
+            assume(np.min(np.abs(qhat.scores[:, None] - quantiles)) > 1e-9)
+        try:
+            expected = bisected_alpha_star(spec, qhat, alpha)
+        except RootFindingError:
+            with pytest.raises(RootFindingError):
+                per_state_alpha_star(spec, qhat, alpha)
+            return
+        np.testing.assert_allclose(per_state_alpha_star(spec, qhat, alpha), expected,
+                                   rtol=0, atol=1e-9)
 
     def test_monotone_in_scale(self):
         prev = None

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_conformal.conformal import (
+    AbsoluteScore,
     CqrScore,
     NormalizedScore,
     empirical_quantile,
@@ -25,7 +26,7 @@ from adaptive_conformal.conformal import (
 from adaptive_conformal.core import AciConfig, init, run_level_batch, update
 from adaptive_conformal.election import CqrStream, replay_prediction_stream
 from adaptive_conformal.errors import DomainError, NoDataError
-from adaptive_conformal.metrics import TrajectoryReport
+from adaptive_conformal.metrics import TrajectoryReport, replay
 from adaptive_conformal.volatility import replay_forecast_stream
 
 
@@ -138,6 +139,12 @@ class TestCalibrationChecks:
                            [np.array([0.5]), cal], 1)
         with pytest.raises(error):
             replay_prediction_stream(stream, AciConfig(0.1, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_realized_score_is_rejected(self, bad):
+        with pytest.raises(DomainError, match="step 2"):
+            replay(AciConfig(0.1, 0.05), [0.5, bad, 0.5], lambda: iter([[0.0, 1.0, 2.0]] * 3),
+                   AbsoluteScore(np.zeros(3)).interval, "abc")
 
 
 def while_loop_rank(n, p):
