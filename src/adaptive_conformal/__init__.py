@@ -35,14 +35,11 @@ from .election import (
     sample_ordering,
 )
 from .hmm import (
-    EmpiricalQuantile,
     HmmSpec,
     NormalQuantile,
     TheoryReport,
     estimate_bias_terms,
     per_state_alpha_star,
-    run_fixed_quantile_aci,
-    simulate_hmm,
     spectral_gap,
     symmetric_chain,
     theory_suite,
@@ -74,7 +71,6 @@ __all__ = [
     "CountyRecord",
     "CoverageSummary",
     "CqrScore",
-    "EmpiricalQuantile",
     "GarchFit",
     "GarchParams",
     "HmmSpec",
@@ -103,12 +99,10 @@ __all__ = [
     "prop_bound",
     "returns_from_prices",
     "run_election_experiment",
-    "run_fixed_quantile_aci",
     "run_volatility_experiment",
     "sample_ordering",
     "simulate_garch_prices",
     "simulate_garch_returns",
-    "simulate_hmm",
     "spectral_gap",
     "summarize",
     "symmetric_chain",

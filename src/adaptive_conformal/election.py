@@ -128,14 +128,15 @@ def sample_ordering(populations, sigma: float, rng: np.random.Generator) -> np.n
 
     Uses perturbed sort keys ``sigma * pop + Gumbel`` so huge weights never
     overflow; ``sigma = inf`` degenerates to the descending-population order
-    with stable ties.
+    with stable ties, and so does a sigma at which ``sigma * pop`` overflows,
+    since the noise is then far below the keys' resolution.
     """
     populations = np.asarray(populations, dtype=float)
     if populations.size == 0:
         raise NoDataError("empty population vector")
     if not sigma >= 0.0:
         raise DomainError(f"sigma must be nonnegative, got {sigma}")
-    if math.isinf(sigma):
+    if math.isinf(sigma) or math.isinf(sigma * float(np.max(np.abs(populations)))):
         return np.argsort(-populations, kind="stable")
     keys = sigma * populations + rng.gumbel(size=populations.size)
     return np.argsort(-keys, kind="stable")

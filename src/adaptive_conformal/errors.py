@@ -39,10 +39,6 @@ class NonReversibleChainError(AdaptiveConformalError):
     """Spectral-gap computation is only supported for reversible chains."""
 
 
-class RootFindingError(AdaptiveConformalError):
-    """For some state, no level in [0, 1] reaches miscoverage alpha."""
-
-
 class ParseError(AdaptiveConformalError):
     """A file failed to parse. Carries the offending line number when known."""
 

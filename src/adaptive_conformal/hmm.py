@@ -16,16 +16,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import bounds, core
-from .conformal import empirical_quantile, realized_scores
 from .core import run_level_batch
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    ErgodicityError,
-    NonReversibleChainError,
-    RootFindingError,
-)
-from .metrics import TrajectoryReport
+from .errors import ConfigurationError, DomainError, ErgodicityError, NonReversibleChainError
 
 REVERSIBILITY_TOL = 1e-9
 
@@ -113,14 +105,6 @@ def spectral_gap(transition) -> float:
     return 1.0 - eta
 
 
-def simulate_hmm(
-    spec: HmmSpec, horizon: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One state path started from the stationary distribution, plus scores."""
-    states, scores = simulate_hmm_batch(spec, horizon, 1, rng)
-    return states[0], scores[0]
-
-
 def simulate_hmm_batch(
     spec: HmmSpec, horizon: int, reps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,14 +119,16 @@ def simulate_hmm_batch(
         u = rng.random(reps)
         rows = cum[states[:, t - 1]]
         states[:, t] = (rows < u[:, None]).sum(axis=1)
-    noise = rng.standard_normal((reps, horizon))
-    scores = spec.score_means[states] + spec.score_scales[states] * noise
+    # Scaled and shifted in place: one (reps, horizon) float array fewer at the peak.
+    scores = rng.standard_normal((reps, horizon))
+    scores *= spec.score_scales[states]
+    scores += spec.score_means[states]
     return states, scores
 
 
 @dataclass(frozen=True)
 class NormalQuantile:
-    """Analytic normal quantile function with the out-of-range conventions."""
+    """The fixed score-quantile function ``mean + scale * ndtri(p)``."""
 
     mean: float = 0.0
     scale: float = 1.0
@@ -153,83 +139,27 @@ class NormalQuantile:
         if not 0.0 < self.scale < math.inf:
             raise ConfigurationError(f"scale must be finite and positive, got {self.scale}")
 
-    def __call__(self, p: float) -> float:
-        if p < 0.0:
-            return -math.inf
-        if p > 1.0:
-            return math.inf
-        return self.mean + self.scale * float(ndtri(p))
 
+def exceedance_levels(qhat: NormalQuantile, scores) -> tuple[np.ndarray, bool]:
+    """Per-score levels u, the qhat-CDF of the score, with {score > qhat(p)} = {u > p}.
 
-@dataclass(frozen=True)
-class EmpiricalQuantile:
-    """Frozen calibration-score snapshot used as the quantile function."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.sort(np.asarray(self.scores, dtype=float))
-        if scores.size == 0:
-            raise ConfigurationError("empty calibration snapshot")
-        if not np.isfinite(scores).all():
-            raise ConfigurationError("calibration snapshot scores must be finite")
-        object.__setattr__(self, "scores", scores)
-
-    def __call__(self, p: float) -> float:
-        return empirical_quantile(self.scores, p)
-
-
-FixedQuantileFn = NormalQuantile | EmpiricalQuantile
-
-
-def exceedance_levels(qhat: FixedQuantileFn, scores: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Per-score levels u with {score > qhat(p)} = {u > p} (or >= when flagged).
-
-    For the analytic quantile, u is the qhat-CDF of the score and the
-    comparison is strict; for an empirical snapshot of n values, u is the
-    fraction strictly below the score and the comparison is non-strict. This
-    turns the per-step error indicator into a single float comparison.
+    This turns the per-step error indicator into a single float comparison. The
+    comparison is strict, so the flag is always True.
     """
-    scores = np.asarray(scores, dtype=float)
-    if isinstance(qhat, NormalQuantile):
-        return ndtr((scores - qhat.mean) / qhat.scale), True
-    below = np.searchsorted(qhat.scores, scores, side="left")
-    return below / qhat.scores.size, False
+    u = np.asarray(scores, dtype=float) - qhat.mean
+    u /= qhat.scale
+    return ndtr(u, out=u), True
 
 
-def run_fixed_quantile_aci(
-    scores, qhat: FixedQuantileFn, config: core.AciConfig
-) -> TrajectoryReport:
-    """Adaptive calibration of a fixed quantile function over a score stream.
-
-    The per-step prediction set is the score sublevel set
-    ``(-inf, qhat(1 - alpha_t)]``; its bounds are recorded as the interval. A
-    non-finite score raises ``DomainError``.
-    """
-    levels, strict = exceedance_levels(qhat, realized_scores(scores))
-    alphas, errs = run_level_batch(config, levels, strict)
-    # qhat(1 - alpha_t) is -inf from alpha_t = 1 on; a negative level covers
-    # the whole line, also where 1 - alpha_t rounds to 1.
-    upper = [math.inf if a < 0.0 else qhat(1.0 - a) for a in alphas.tolist()]
-    return TrajectoryReport(errs, alphas, np.full(levels.size, -math.inf), upper,
-                            tuple(str(t + 1) for t in range(levels.size)), config)
-
-
-def per_state_alpha_star(spec: HmmSpec, qhat: FixedQuantileFn, alpha: float) -> np.ndarray:
+def per_state_alpha_star(spec: HmmSpec, qhat: NormalQuantile, alpha: float) -> np.ndarray:
     """Per-state level alpha* at which ``P(score > qhat(1 - alpha*)) = alpha``.
 
     A step misses when its exceedance level passes ``1 - alpha_t``, so alpha* is one
-    minus the exceedance level of the state's own ``1 - alpha`` score quantile. An
-    empirical snapshot wholly below that quantile (level 1, non-strict) misses more
-    than ``alpha`` at every level in [0, 1] and raises.
+    minus the exceedance level of the state's own ``1 - alpha`` score quantile.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    levels, strict = exceedance_levels(
-        qhat, spec.score_means + spec.score_scales * ndtri(1.0 - alpha))
-    if not strict and levels.max() == 1.0:
-        raise RootFindingError(
-            f"state {int(np.argmax(levels))}: no level in [0, 1] reaches miscoverage {alpha}")
+    levels, _ = exceedance_levels(qhat, spec.score_means + spec.score_scales * ndtri(1.0 - alpha))
     return 1.0 - levels
 
 
@@ -247,7 +177,7 @@ class BiasEstimate:
 
 def estimate_bias_terms(
     spec: HmmSpec,
-    qhat: FixedQuantileFn,
+    qhat: NormalQuantile,
     config: core.AciConfig,
     reps: int,
     rng: np.random.Generator,
@@ -275,7 +205,10 @@ def _stationary_bias(spec, qhat, config, reps, horizon, rng):
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     if config.step_size <= 0.0:
         raise ConfigurationError("stationary runs need a positive step size")
-    burn = math.ceil(20.0 / config.step_size)
+    burn = 20.0 / config.step_size
+    if not 8.0 * reps * (burn + horizon) <= np.iinfo(np.intp).max:  # bytes of one array
+        raise ConfigurationError(f"a burn-in of 20 / gamma = {burn:g} steps is too long")
+    burn = math.ceil(burn)
     states, scores = simulate_hmm_batch(spec, burn + horizon, reps, rng)
     # Each float array is (reps, burn + horizon); dropping it once used
     # lowers peak memory by one such array.
@@ -333,7 +266,7 @@ def oracle_level_step_mean(spec: HmmSpec, alpha_star: np.ndarray) -> float:
 
 def theory_suite(
     spec: HmmSpec,
-    qhat: FixedQuantileFn,
+    qhat: NormalQuantile,
     config: core.AciConfig,
     reps: int,
     horizon: int,

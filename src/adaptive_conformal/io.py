@@ -275,6 +275,9 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
             raise ValidationError(f"local_cov must be blank or in [0, 1], got {row[6]}", line=i)
     report = TrajectoryReport(errs=errs, alphas=alphas, lower=lower, upper=upper,
                               step_labels=tuple(labels), config_echo=config, valid=valid)
+    nan_rows = np.flatnonzero(np.isnan(report.lower) | np.isnan(report.upper))
+    if nan_rows.size:
+        raise ValidationError("interval bounds must not be nan", line=numbers[1 + nan_rows[0]])
     return report, local_window
 
 

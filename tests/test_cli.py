@@ -87,6 +87,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon must be >= 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("gamma", ["1e-300", "5e-324"])
+    def test_tiny_step_size_fails_before_simulating(self, tmp_path, capsys, monkeypatch, gamma):
+        def no_simulation(*args):
+            raise AssertionError("simulated a run whose burn-in cannot be allocated")
+
+        monkeypatch.setattr(hmm, "simulate_hmm_batch", no_simulation)
+        assert run(["simulate", "--gamma", gamma, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a burn-in of 20 / gamma") and err.count("\n") == 1
+
     def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 3.58 TiB for an array")

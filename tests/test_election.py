@@ -166,6 +166,14 @@ class TestOrdering:
         order = sample_ordering([5.0, 9.0, 1.0], math.inf, np.random.default_rng(0))
         np.testing.assert_array_equal(order, [1, 0, 2])
 
+    @pytest.mark.parametrize("sigma", [1e303, 1e308])
+    def test_overflowing_sigma_sorts_by_population(self, sigma):
+        # sigma * pop overflows, and the Gumbel noise is far below the keys' resolution.
+        pops = np.random.default_rng(6).lognormal(10.0, 1.5, size=300)
+        expected = sample_ordering(pops, math.inf, np.random.default_rng(0))
+        np.testing.assert_array_equal(sample_ordering(pops, sigma, np.random.default_rng(0)),
+                                      expected)
+
     def test_single_county(self):
         np.testing.assert_array_equal(sample_ordering([7.0], 3.0, np.random.default_rng(0)), [0])
 

@@ -1,37 +1,37 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest, norm
 
 from adaptive_conformal import bounds
+from adaptive_conformal.conformal import PredictionInterval
 from adaptive_conformal.core import AciConfig, init, update
 from adaptive_conformal.errors import (
     ConfigurationError,
     DomainError,
     ErgodicityError,
     NonReversibleChainError,
-    RootFindingError,
 )
 from adaptive_conformal.hmm import (
     BiasEstimate,
-    EmpiricalQuantile,
     HmmSpec,
     NormalQuantile,
     TheoryReport,
     estimate_bias_terms,
     exceedance_levels,
     per_state_alpha_star,
-    run_fixed_quantile_aci,
     run_level_batch,
-    simulate_hmm,
     simulate_hmm_batch,
     spectral_gap,
     stationary_distribution,
     symmetric_chain,
 )
+from adaptive_conformal.metrics import replay
 
 
 def two_state_spec(p=0.95, scales=(1.0, 2.0), means=(0.0, 0.0)):
@@ -96,15 +96,15 @@ class TestStationaryAndGap:
 class TestSimulation:
     def test_deterministic_given_seed(self):
         spec = two_state_spec()
-        s1 = simulate_hmm(spec, 500, np.random.default_rng(3))
-        s2 = simulate_hmm(spec, 500, np.random.default_rng(3))
+        s1 = simulate_hmm_batch(spec, 500, 1, np.random.default_rng(3))
+        s2 = simulate_hmm_batch(spec, 500, 1, np.random.default_rng(3))
         np.testing.assert_array_equal(s1[0], s2[0])
         np.testing.assert_array_equal(s1[1], s2[1])
 
     def test_single_state_scores_are_iid_normal(self):
         spec = HmmSpec(np.array([[1.0]]), np.array([0.5]), np.array([2.0]))
-        _, scores = simulate_hmm(spec, 10_000, np.random.default_rng(4))
-        assert kstest(scores, norm(loc=0.5, scale=2.0).cdf).pvalue > 0.001
+        _, scores = simulate_hmm_batch(spec, 10_000, 1, np.random.default_rng(4))
+        assert kstest(scores[0], norm(loc=0.5, scale=2.0).cdf).pvalue > 0.001
 
     @pytest.mark.parametrize("means,scales", [
         pytest.param((math.nan, 0.0), (1.0, 2.0), id="nan-mean"),
@@ -124,12 +124,6 @@ class TestSimulation:
 
 
 class TestQuantileFunctions:
-    def test_normal_quantile_conventions(self):
-        q = NormalQuantile(0.0, 1.0)
-        assert q(-0.1) == -math.inf and q(1.1) == math.inf
-        assert q(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert q(0.0) == -math.inf and q(1.0) == math.inf
-
     @pytest.mark.parametrize("mean,scale", [
         (math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0),
     ])
@@ -137,16 +131,37 @@ class TestQuantileFunctions:
         with pytest.raises(ConfigurationError):
             NormalQuantile(mean, scale)
 
-    def test_empirical_quantile_wrapper(self):
-        q = EmpiricalQuantile(np.array([3.0, 1.0, 2.0]))
-        assert q(0.5) == 2.0
-        assert q(-0.5) == -math.inf and q(1.5) == math.inf
+    def test_exceedance_levels_leave_the_scores_unchanged(self):
+        scores = np.array([[-1.0, 0.0, 2.5], [0.3, -40.0, 40.0]])
+        levels, strict = exceedance_levels(NormalQuantile(0.5, 2.0), scores)
+        np.testing.assert_array_equal(scores, [[-1.0, 0.0, 2.5], [0.3, -40.0, 40.0]])
+        np.testing.assert_array_equal(levels, ndtr((scores - 0.5) / 2.0))
+        assert strict
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_empirical_quantile_rejects_non_finite(self, bad):
-        # exceedance_levels would count a NaN above every score.
-        with pytest.raises(ConfigurationError):
-            EmpiricalQuantile(np.array([0.0, bad, 1.0]))
+
+def normal_threshold_loop(scores, qhat, config):
+    """(alphas, errs) of the literal per-step loop over the thresholds ``qhat(1 - alpha_t)``.
+
+    The set is the whole line when alpha_t < 0 and empty from alpha_t = 1 on.
+    """
+    state = init(config)
+    alphas, errs = [], []
+    for score in scores:
+        a = state.current_level
+        threshold = (math.inf if a < 0.0 else -math.inf if a >= 1.0
+                     else qhat.mean + qhat.scale * float(ndtri(1.0 - a)))
+        alphas.append(a)
+        errs.append(int(score > threshold))
+        state = update(state, errs[-1])
+    return np.array(alphas), np.array(errs)
+
+
+def snapshot_runner(scores, snapshot, config):
+    """The fixed empirical-quantile runner: ``metrics.replay`` over one constant sorted set."""
+    cal = sorted(snapshot)
+    return replay(config, scores, lambda: itertools.repeat(cal),
+                  lambda t: PredictionInterval(np.full(t.shape, -math.inf), t),
+                  [str(t + 1) for t in range(len(scores))])
 
 
 class TestFixedQuantileRunner:
@@ -155,50 +170,53 @@ class TestFixedQuantileRunner:
         # A covered step pushes the level above 1; the next error is forced to
         # 1 even though the score itself would have been covered.
         up = AciConfig(0.9, 0.2, initial_level=0.95)
-        rep = run_fixed_quantile_aci(np.array([-10.0, -10.0]), qhat, up)
-        assert rep.errs[0] == 0 and rep.alphas[1] > 1.0 and rep.errs[1] == 1
+        alphas, errs = run_level_batch(up, *exceedance_levels(qhat, np.array([-10.0, -10.0])))
+        assert errs[0] == 0 and alphas[1] > 1.0 and errs[1] == 1
         # A missed step pushes the level below 0; the next error is forced to
         # 0 even though the score itself would have been missed.
         down = AciConfig(0.1, 0.05, initial_level=0.04)
-        rep = run_fixed_quantile_aci(np.array([10.0, 10.0]), qhat, down)
-        assert rep.errs[0] == 1 and rep.alphas[1] < 0.0 and rep.errs[1] == 0
+        alphas, errs = run_level_batch(down, *exceedance_levels(qhat, np.array([10.0, 10.0])))
+        assert errs[0] == 1 and alphas[1] < 0.0 and errs[1] == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_score_is_rejected(self, bad):
         with pytest.raises(DomainError, match="step 2"):
-            run_fixed_quantile_aci([0.5, bad, 0.5], EmpiricalQuantile([0.0, 1.0, 2.0]),
-                                   AciConfig(0.1, 0.05))
+            snapshot_runner([0.5, bad, 0.5], [0.0, 1.0, 2.0], AciConfig(0.1, 0.05))
 
     def test_trajectory_satisfies_bounds(self):
         rng = np.random.default_rng(8)
         cfg = AciConfig(0.1, 0.01, initial_level=0.4)
         scores = rng.normal(size=4000)
-        rep = run_fixed_quantile_aci(scores, NormalQuantile(), cfg)
-        assert np.all(rep.alphas >= -0.01 - 1e-15) and np.all(rep.alphas <= 1.01 + 1e-15)
-        n = len(rep)
-        assert abs(float(np.mean(rep.errs)) - 0.1) <= (0.6 + 0.01) / (n * 0.01)
+        alphas, errs = run_level_batch(cfg, *exceedance_levels(NormalQuantile(), scores))
+        assert np.all(alphas >= -0.01 - 1e-15) and np.all(alphas <= 1.01 + 1e-15)
+        n = len(errs)
+        assert abs(float(np.mean(errs)) - 0.1) <= (0.6 + 0.01) / (n * 0.01)
 
     RANDOM_CFG = AciConfig(0.1, 0.02, initial_level=0.35)
     RANDOM_SCORES = np.random.default_rng(17).normal(size=(4, 600))
 
     @pytest.mark.parametrize("qhat,cfg,scores", [
         pytest.param(NormalQuantile(0.3, 1.4), RANDOM_CFG, RANDOM_SCORES, id="qhat0"),
-        pytest.param(EmpiricalQuantile(np.linspace(-2, 2, 157)), RANDOM_CFG, RANDOM_SCORES,
-                     id="qhat1"),
+        pytest.param(np.linspace(-2, 2, 157), RANDOM_CFG, RANDOM_SCORES, id="qhat1"),
         # The third level is 0.04 - 0.04 = -6.9e-18, for which 1 - alpha_t rounds
         # to 1: the set must still be the whole line, not (-inf, max score].
-        pytest.param(EmpiricalQuantile(np.array([0.0, 1.0, 2.0])),
-                     AciConfig(0.2, 0.05, initial_level=0.03), np.array([[-5.0, 5.0, 5.0]]),
-                     id="level-just-below-zero"),
+        pytest.param(np.array([0.0, 1.0, 2.0]), AciConfig(0.2, 0.05, initial_level=0.03),
+                     np.array([[-5.0, 5.0, 5.0]]), id="level-just-below-zero"),
     ])
     def test_batch_runner_matches_scalar_runner(self, qhat, cfg, scores):
-        levels, strict = exceedance_levels(qhat, scores)
+        if isinstance(qhat, NormalQuantile):
+            levels, strict = exceedance_levels(qhat, scores)
+            rows = [normal_threshold_loop(row, qhat, cfg) for row in scores]
+        else:  # a snapshot's level is the fraction strictly below, compared non-strictly
+            levels, strict = np.searchsorted(qhat, scores) / qhat.size, False
+            reports = [snapshot_runner(row, qhat, cfg) for row in scores]
+            for rep in reports:
+                np.testing.assert_array_equal(rep.upper == math.inf, rep.alphas < 0.0)
+            rows = [(rep.alphas, rep.errs) for rep in reports]
         alphas, errs = run_level_batch(cfg, levels, strict)
-        for r in range(len(scores)):
-            rep = run_fixed_quantile_aci(scores[r], qhat, cfg)
-            np.testing.assert_array_equal(errs[r], rep.errs)
-            np.testing.assert_array_equal(alphas[r], rep.alphas)
-            np.testing.assert_array_equal(rep.upper == math.inf, rep.alphas < 0.0)
+        for r, (row_alphas, row_errs) in enumerate(rows):
+            np.testing.assert_array_equal(errs[r], row_errs)
+            np.testing.assert_array_equal(alphas[r], row_alphas)
 
     def test_batch_runner_weighted_rule_matches_updates(self):
         cfg = AciConfig(0.2, 0.01, update_rule="weighted", decay=0.9)
@@ -263,17 +281,16 @@ class TestLevelBatchProperties:
 def bisected_alpha_star(spec, qhat, alpha):
     """Per-state oracle levels by bisection of the miscoverage function.
 
-    Miscoverage ``P(score > qhat(1 - level))`` is nondecreasing in the level;
-    for an empirical snapshot it is a step function. The oracle level is where
-    it passes ``alpha``; none exists when it exceeds ``alpha`` already at level 0.
+    Miscoverage ``P(score > qhat(1 - level))`` is nondecreasing in the level,
+    0 at level 0 (``qhat(1) = inf``) and 1 at level 1 (``qhat(0) = -inf``); the
+    oracle level is where it passes ``alpha``.
     """
     out = []
-    for a, (mean, scale) in enumerate(zip(spec.score_means, spec.score_scales)):
+    for mean, scale in zip(spec.score_means, spec.score_scales):
         def misses(level):
-            return norm.sf((qhat(1.0 - level) - mean) / scale) > alpha
+            threshold = qhat.mean + qhat.scale * ndtri(1.0 - level)
+            return ndtr((mean - threshold) / scale) > alpha
 
-        if misses(0.0) or not misses(1.0):
-            raise RootFindingError(f"state {a}: no crossing")
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -284,16 +301,13 @@ def bisected_alpha_star(spec, qhat, alpha):
 
 @st.composite
 def alpha_star_cases(draw):
-    """An HMM spec, a normal or empirical quantile function and a target level."""
+    """An HMM spec, a normal quantile function and a target level."""
     n = draw(st.integers(1, 5))
     unit = st.floats(0.2, 5.0)
     means = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     scales = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
     spec = HmmSpec(np.full((n, n), 1.0 / n), means, scales)
-    if draw(st.booleans()):
-        qhat = NormalQuantile(draw(st.floats(-2.0, 2.0)), draw(unit))
-    else:
-        qhat = EmpiricalQuantile(draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30)))
+    qhat = NormalQuantile(draw(st.floats(-2.0, 2.0)), draw(unit))
     return spec, qhat, draw(st.floats(0.01, 0.99))
 
 
@@ -313,19 +327,8 @@ class TestAlphaStar:
     @given(case=alpha_star_cases())
     def test_matches_bisection_of_miscoverage(self, case):
         spec, qhat, alpha = case
-        if isinstance(qhat, EmpiricalQuantile):
-            # A snapshot score equal to a state's 1 - alpha quantile holds the
-            # miscoverage at alpha over a whole interval of levels.
-            quantiles = spec.score_means + spec.score_scales * norm.ppf(1.0 - alpha)
-            assume(np.min(np.abs(qhat.scores[:, None] - quantiles)) > 1e-9)
-        try:
-            expected = bisected_alpha_star(spec, qhat, alpha)
-        except RootFindingError:
-            with pytest.raises(RootFindingError):
-                per_state_alpha_star(spec, qhat, alpha)
-            return
-        np.testing.assert_allclose(per_state_alpha_star(spec, qhat, alpha), expected,
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(per_state_alpha_star(spec, qhat, alpha),
+                                   bisected_alpha_star(spec, qhat, alpha), rtol=0, atol=1e-9)
 
     def test_monotone_in_scale(self):
         prev = None
@@ -335,12 +338,6 @@ class TestAlphaStar:
             if prev is not None:
                 assert star < prev
             prev = star
-
-    def test_degenerate_qhat_has_no_root(self):
-        spec = HmmSpec(np.array([[1.0]]), np.array([10.0]), np.array([0.1]))
-        qhat = EmpiricalQuantile(np.array([0.0, 1.0]))  # max far below the scores
-        with pytest.raises(RootFindingError):
-            per_state_alpha_star(spec, qhat, 0.1)
 
 
 class TestBiasEstimation:

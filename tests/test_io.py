@@ -215,6 +215,8 @@ class TestTrajectory:
     @pytest.mark.parametrize("column,value,error", [
         pytest.param(2, "nan", ValidationError, id="nan-level"),
         pytest.param(2, "-inf", ValidationError, id="infinite-level"),
+        pytest.param(4, "nan", ValidationError, id="nan-lower"),
+        pytest.param(5, "nan", ValidationError, id="nan-upper"),
         pytest.param(0, "7", ValidationError, id="t-skips"),
         pytest.param(0, "x", ValidationError, id="t-not-a-number"),
         pytest.param(6, "abc", ParseError, id="local-cov-not-a-number"),
