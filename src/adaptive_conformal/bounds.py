@@ -24,8 +24,8 @@ def large_deviation_rhs(
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
     if not 0.0 <= eta < 1.0:
         raise DomainError(f"eta must lie in [0, 1), got {eta}")
     if sigma_b2 < 0.0 or b < 0.0:
@@ -45,8 +45,8 @@ def regret_rhs(lipschitz: float, gamma: float, delta_mean: float) -> float:
     ``delta_mean`` is the expected one-step movement of the per-state oracle
     level, the natural size of the distribution shift.
     """
-    if not lipschitz > 0.0:
-        raise DomainError(f"lipschitz must be positive, got {lipschitz}")
+    if not 0.0 < lipschitz < math.inf:
+        raise DomainError(f"lipschitz must be finite and positive, got {lipschitz}")
     if not gamma > 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if delta_mean < 0.0:

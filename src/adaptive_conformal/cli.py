@@ -10,8 +10,8 @@ Every command is deterministic given ``--seed``. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
-import math
 import os
 import sys
 from datetime import date, timedelta
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, election, hmm, io, metrics, volatility
-from .errors import AdaptiveConformalError
+from .errors import AdaptiveConformalError, ConfigurationError
 
 logger = logging.getLogger(__name__)
 
@@ -45,17 +45,14 @@ def _add_aci_flags(parser: argparse.ArgumentParser) -> None:
                         default=core.SIMPLE, help="level update rule")
     parser.add_argument("--decay", type=float, default=0.95,
                         help="geometric weight for the weighted rule")
-    parser.add_argument("--method", choices=["aci", "fixed"], default="aci",
-                        help="'fixed' is shorthand for --gamma 0")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="random seed (nonnegative)")
     parser.add_argument("--out", required=True, help="output directory")
 
 
 def _config_from_args(args) -> core.AciConfig:
-    gamma = 0.0 if args.method == "fixed" else args.gamma
     return core.AciConfig(
         target_miscoverage=args.alpha,
-        step_size=gamma,
+        step_size=args.gamma,
         initial_level=args.alpha1,
         update_rule=args.update,
         decay=args.decay,
@@ -66,10 +63,18 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _parse_sigma(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
+def _per_state(values: list[float], flag: str, n: int) -> np.ndarray:
+    """One value per state: a single value is repeated, any other count must be ``n``."""
+    if len(values) not in (1, n):
+        raise ConfigurationError(f"{flag} has {len(values)} values; need 1 or --states = {n}")
+    return np.resize(np.array(values, dtype=float), n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--synthetic", type=int, metavar="N", help="generate N synthetic counties")
     ele.add_argument("--covariates", type=int, default=11,
                      help="covariate count for synthetic counties")
-    ele.add_argument("--sigma", type=_parse_sigma, default=0.0,
+    ele.add_argument("--sigma", type=float, default=0.0,
                      help="population-ordering bias (number or 'inf')")
     ele.add_argument("--warmup", type=int, default=500, help="counties observed before predicting")
     ele.add_argument("--cal-frac", type=float, default=0.25, help="calibration split fraction")
@@ -195,9 +200,8 @@ def _run_simulate(args) -> int:
     config = _config_from_args(args)
     out = _outdir(args)
     n = args.states
-    scales = np.resize(np.array(args.scales, dtype=float), n)
-    means = np.resize(np.array(args.means, dtype=float), n)
-    spec = hmm.HmmSpec(hmm.symmetric_chain(n, args.p), means, scales)
+    spec = hmm.HmmSpec(hmm.symmetric_chain(n, args.p), _per_state(args.means, "--means", n),
+                       _per_state(args.scales, "--scales", n))
     qhat = hmm.NormalQuantile(args.qhat_mean, args.qhat_scale)
     report = hmm.theory_suite(
         spec,
@@ -209,20 +213,9 @@ def _run_simulate(args) -> int:
         rng=np.random.default_rng(args.seed),
         lipschitz=args.lipschitz,
     )
-    payload = {
-        "b_hat": report.b_hat,
-        "sigma_b2_hat": report.sigma_b2_hat,
-        "spectral_gap": report.spectral_gap,
-        "alpha_star_by_state": report.alpha_star_by_state,
-        "bound_values": report.bound_values,
-        "config": {
-            "alpha": config.target_miscoverage,
-            "gamma": config.step_size,
-            "horizon": args.horizon,
-            "reps": args.reps,
-        },
-    }
-    io.write_json(out / "theory.json", payload)
+    config_echo = {"alpha": config.target_miscoverage, "gamma": config.step_size,
+                   "horizon": args.horizon, "reps": args.reps}
+    io.write_json(out / "theory.json", {**dataclasses.asdict(report), "config": config_echo})
     return 0
 
 

@@ -239,7 +239,8 @@ def cqr_prediction_stream(
     warmup: int = 500,
     cal_frac: float = 0.25,
     refit_every: int = 1,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> CqrStream:
     """Quantile fits and calibration scores for every prediction step.
 
@@ -249,8 +250,6 @@ def cqr_prediction_stream(
     standardized covariates, scores the calibration set with ``CqrScore``,
     and predicts the quantile pairs of the steps up to the next refit.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if refit_every < 1:
         raise ConfigurationError("refit_every must be >= 1")
     if not 0.0 < cal_frac < 1.0:
@@ -329,7 +328,8 @@ def run_election_experiment(
     warmup: int = 500,
     cal_frac: float = 0.25,
     refit_every: int = 1,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> TrajectoryReport:
     """Sequential CQR over counties in the given order, with adaptive level."""
     steps = cqr_prediction_stream(

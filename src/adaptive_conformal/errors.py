@@ -39,8 +39,8 @@ class NonReversibleChainError(AdaptiveConformalError):
     """Spectral-gap computation is only supported for reversible chains."""
 
 
-class ParseError(AdaptiveConformalError):
-    """A file failed to parse. Carries the offending line number when known."""
+class _FileLineError(AdaptiveConformalError):
+    """An error in an input file. Carries the offending line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -49,14 +49,12 @@ class ParseError(AdaptiveConformalError):
         self.line = line
 
 
-class ValidationError(AdaptiveConformalError):
+class ParseError(_FileLineError):
+    """A file failed to parse."""
+
+
+class ValidationError(_FileLineError):
     """Parsed data violates a documented file invariant."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ExperimentAborted(AdaptiveConformalError):

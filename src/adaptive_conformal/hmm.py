@@ -144,9 +144,18 @@ def exceedance_levels(qhat: NormalQuantile, scores) -> tuple[np.ndarray, bool]:
     """Per-score levels u, the qhat-CDF of the score, with {score > qhat(p)} = {u > p}.
 
     This turns the per-step error indicator into a single float comparison. The
-    comparison is strict, so the flag is always True.
+    comparison is strict, so the flag is always True. A non-finite score raises
+    ``DomainError`` naming the first one's (replication, step), 1-based; a row is
+    replication 1.
     """
-    u = np.asarray(scores, dtype=float) - qhat.mean
+    scores = np.asarray(scores, dtype=float)
+    # min and max propagate NaN and reach +-inf without a (reps, horizon) temporary.
+    if not (math.isfinite(scores.min(initial=0.0)) and math.isfinite(scores.max(initial=0.0))):
+        rows = np.atleast_2d(scores)
+        rep, step = np.argwhere(~np.isfinite(rows))[0]
+        raise DomainError(f"scores must be finite; replication {rep + 1}, step {step + 1} "
+                          f"is {rows[rep, step]}")
+    u = scores - qhat.mean
     u /= qhat.scale
     return ndtr(u, out=u), True
 
@@ -173,6 +182,7 @@ class BiasEstimate:
     per_state_se: np.ndarray
     stationary: np.ndarray
     n_samples: int
+    per_rep_err_mean: np.ndarray
 
 
 def estimate_bias_terms(
@@ -185,19 +195,11 @@ def estimate_bias_terms(
 ) -> BiasEstimate:
     """Plug-in estimates of the worst-state and mean-square coverage bias.
 
-    Discards a burn-in of ceil(20 / gamma) steps per replication so the
-    (level, state) pair is close to stationarity, then averages error bits by
-    state across all replications. The max estimate is biased upward by noise,
+    Runs ``reps`` batched replications, each discarding a burn-in of
+    ceil(20 / gamma) steps so the (level, state) pair is close to stationarity,
+    then averages error bits by state across all replications, and by
+    replication across all states. The max estimate is biased upward by noise,
     so per-state standard errors are reported alongside.
-    """
-    return _stationary_bias(spec, qhat, config, reps, horizon, rng)[0]
-
-
-def _stationary_bias(spec, qhat, config, reps, horizon, rng):
-    """Bias plug-ins of ``reps`` batched runs, and the runs' (reps, horizon) error tail.
-
-    Each run discards a burn-in of ceil(20 / gamma) steps. Masks stay
-    two-dimensional: flattening the non-contiguous tail views would copy them.
     """
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
@@ -216,6 +218,7 @@ def _stationary_bias(spec, qhat, config, reps, horizon, rng):
     del scores
     _, errs = run_level_batch(config, levels, strict)
     del levels
+    # Masks stay two-dimensional: flattening the non-contiguous tail views would copy them.
     tail_states, tail_errs = states[:, burn:], errs[:, burn:]
     means = np.empty(spec.n_states)
     ses = np.empty(spec.n_states)
@@ -229,15 +232,15 @@ def _stationary_bias(spec, qhat, config, reps, horizon, rng):
         ses[a] = math.sqrt(max(m * (1.0 - m), 1e-12) / n_a)
     pi = stationary_distribution(spec.transition)
     dev = means - config.target_miscoverage
-    estimate = BiasEstimate(
+    return BiasEstimate(
         b_hat=float(np.max(np.abs(dev))),
         sigma_b2_hat=float(np.sum(pi * dev**2)),
         per_state_err_mean=means,
         per_state_se=ses,
         stationary=pi,
         n_samples=tail_errs.size,
+        per_rep_err_mean=tail_errs.mean(axis=1),
     )
-    return estimate, tail_errs
 
 
 @dataclass(frozen=True)
@@ -281,14 +284,13 @@ def theory_suite(
     use the analytic spectral gap and oracle-level shift of the chain.
     """
     alpha = config.target_miscoverage
-    bias, tail_errs = _stationary_bias(spec, qhat, config, reps, horizon, rng)
+    bias = estimate_bias_terms(spec, qhat, config, reps, rng, horizon)
     b_hat, sigma_b2_hat = bias.b_hat, bias.sigma_b2_hat
 
     gap = spectral_gap(spec.transition)
     alpha_star = per_state_alpha_star(spec, qhat, alpha)
     delta_mean = oracle_level_step_mean(spec, alpha_star)
 
-    rep_means = tail_errs.mean(axis=1)
     values: dict[str, float] = {
         "delta_alpha_star_mean": delta_mean,
         "regret_rhs": bounds.regret_rhs(lipschitz, config.step_size, delta_mean),
@@ -299,7 +301,7 @@ def theory_suite(
             horizon, eps, 1.0 - gap, sigma_b2_hat, b_hat
         )
         values[f"empirical_exceedance_eps_{eps:g}"] = float(
-            np.mean(np.abs(rep_means - alpha) >= eps)
+            np.mean(np.abs(bias.per_rep_err_mean - alpha) >= eps)
         )
     return TheoryReport(
         b_hat=b_hat,

@@ -105,14 +105,14 @@ def check_local_window(window: int) -> None:
 
 
 def local_coverage(errs, window: int) -> np.ndarray:
-    """Windowed coverage series 1 - mean(errs over the centered window)."""
+    """Windowed coverage series 1 - mean(errs over the centered window), along the last axis."""
     errs = np.asarray(errs, dtype=float)
-    n = errs.size
+    n = errs.shape[-1]
     check_local_window(window)
     if window > n:
         raise NoDataError(f"window {window} exceeds trajectory length {n}")
-    cs = np.concatenate([[0.0], np.cumsum(errs)])
-    return 1.0 - (cs[window:] - cs[:-window]) / window
+    cs = np.concatenate([np.zeros(errs.shape[:-1] + (1,)), np.cumsum(errs, axis=-1)], axis=-1)
+    return 1.0 - (cs[..., window:] - cs[..., :-window]) / window
 
 
 def average_coverage(errs) -> float:
@@ -141,9 +141,7 @@ def bernoulli_band(
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
     if not 0.0 < band_quantile < 1.0:
         raise ConfigurationError(f"band_quantile must lie in (0, 1), got {band_quantile}")
-    errs = (rng.random((reps, horizon)) < alpha).astype(np.float64)
-    cs = np.concatenate([np.zeros((reps, 1)), np.cumsum(errs, axis=1)], axis=1)
-    cov = 1.0 - (cs[:, window:] - cs[:, :-window]) / window
+    cov = local_coverage(rng.random((reps, horizon)) < alpha, window)
     tail = (1.0 - band_quantile) / 2.0
     lower = np.quantile(cov, tail, axis=0)
     upper = np.quantile(cov, 1.0 - tail, axis=0)

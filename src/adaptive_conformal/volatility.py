@@ -19,7 +19,8 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from . import core
-from .conformal import NormalizedScore, empirical_quantile  # noqa: F401  (perfbench/tracer.py)
+from .conformal import NormalizedScore, calibration_scores
+from .conformal import empirical_quantile  # noqa: F401  (perfbench/tracer.py)
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -168,9 +169,10 @@ def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float) -> tuple[float,
                                                    b * (d_b - mean)])
 
 
-def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
+def fit_garch(returns) -> GarchFit:
     """Maximum-likelihood GARCH(1,1) fit: BFGS on ``_nll_and_grad`` from three starts.
 
+    Each search runs at most ``MAX_ITER`` iterations, read at call time.
     The best optimum must have a scaled gradient norm (search coordinates) of
     at most ``GRADIENT_TOL`` and gain at most ``OMEGA_GAIN_TOL`` from raising
     omega (``-dnll/domega * var(r) / max(1, |nll|)``). That test is one-sided:
@@ -187,7 +189,7 @@ def fit_garch(returns, max_iter: int = MAX_ITER) -> GarchFit:
 
     runs = [minimize(_nll_and_grad, _pack(sample_var * (1.0 - a0 - b0), a0, b0),
                      args=(returns, sample_var), method="BFGS", jac=True,
-                     options={"maxiter": max_iter})
+                     options={"maxiter": MAX_ITER})
             for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]]
     best = min(runs, key=lambda res: res.fun)
     omega, a, b = _unpack(best.x)
@@ -244,13 +246,12 @@ def simulate_garch_prices(
     n_days: int,
     params: GarchParams | list[tuple[int, GarchParams]],
     rng: np.random.Generator,
-    initial_price: float = 100.0,
 ) -> np.ndarray:
-    """Daily prices compounded from simulated GARCH returns."""
+    """Daily prices compounded from simulated GARCH returns, starting at 100."""
     if n_days < 2:
         raise ConfigurationError("need at least two days of prices")
     rets = simulate_garch_returns(n_days - 1, params, rng)
-    prices = initial_price * np.cumprod(np.concatenate([[1.0], 1.0 + rets]))
+    prices = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + rets]))
     if np.any(prices <= 0.0):
         raise DomainError("simulated returns drove the price nonpositive; shrink omega")
     return prices
@@ -262,9 +263,7 @@ QUIET_REGIME = GarchParams(2.0e-6, 0.06, 0.92)
 CRISIS_REGIME = GarchParams(3.6e-4, 0.30, 0.40)
 
 
-def default_regime_prices(
-    n_days: int, rng: np.random.Generator, initial_price: float = 100.0
-) -> np.ndarray:
+def default_regime_prices(n_days: int, rng: np.random.Generator) -> np.ndarray:
     """Self-contained regime-switching demo series.
 
     Two crisis stretches (entered at 54% and 86% of the horizon, the first
@@ -281,7 +280,7 @@ def default_regime_prices(
         (marks[1], QUIET_REGIME),
         (marks[2], CRISIS_REGIME),
     ]
-    return simulate_garch_prices(n_days, regimes, rng, initial_price=initial_price)
+    return simulate_garch_prices(n_days, regimes, rng)
 
 
 def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +350,8 @@ def replay_forecast_stream(
     step carries the label of the return it predicts.
     """
     window = history.size - sigma2.size
-    if not np.isfinite(history).all():
-        raise DomainError("calibration scores must be finite")
+    if history.size:  # a stream aborted at its first fit is empty
+        calibration_scores(history)
     if labels is None:
         labels = [str(t) for t in range(1, history.size + 1)]
     return replay(

@@ -1,11 +1,14 @@
+import argparse
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adaptive_conformal import hmm
-from adaptive_conformal.cli import main
+from adaptive_conformal.cli import build_parser, main
 from adaptive_conformal.election import generate_synthetic_counties
 from adaptive_conformal.io import read_trajectory, write_counties, write_prices, write_trajectory
 from adaptive_conformal.volatility import GarchParams, simulate_garch_prices
@@ -73,6 +76,40 @@ class TestExitCodes:
         assert run(["simulate", "--horizon", "200", "--reps", "100", flag, value,
                     "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "theory.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["election", "--synthetic", "620", "--covariates", "3"],
+        ["volatility", "--synthetic", "400", "--window", "100"],
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "argument --seed: must be a nonnegative integer, got -1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--scales", "1,2"), ("--means", "0,1"), ("--scales", "1,2,3,4"),
+    ])
+    def test_per_state_list_of_wrong_length_is_data_error(self, tmp_path, capsys, flag, value):
+        assert run(["simulate", "--states", "3", "--scales", "1", flag, value,
+                    "--horizon", "200", "--reps", "100", "--out", str(tmp_path / "out")]) == 1
+        count = len(value.split(","))
+        assert capsys.readouterr().err == (
+            f"error: {flag} has {count} values; need 1 or --states = 3\n")
+        assert not (tmp_path / "out" / "theory.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--lipschitz"])
+    def test_infinite_bound_parameter_is_data_error(self, tmp_path, capsys, flag):
+        assert run(["simulate", "--horizon", "200", "--reps", "100", flag, "inf",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]} must be finite and positive, got inf\n")
         assert not (tmp_path / "out" / "theory.json").exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-3000"])
@@ -155,15 +192,6 @@ class TestVolatilityCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["prop_bound_satisfied"] is True
         assert summary["n_steps"] == len(report)
-
-    def test_fixed_method_aliases_zero_gamma(self, tmp_path, price_file):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        common = ["volatility", "--prices", str(price_file), "--window", "60",
-                  "--refit-every", "20", "--seed", "1"]
-        assert run(common + ["--gamma", "0", "--out", str(out_a)]) == 0
-        assert run(common + ["--method", "fixed", "--out", str(out_b)]) == 0
-        assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
-        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
     def test_synthetic_source(self, tmp_path):
         common = ["volatility", "--window", "100", "--refit-every", "50", "--seed", "9"]
@@ -309,6 +337,18 @@ class TestReportCommand:
         dest = tmp_path / "summary.json"
         assert run(["report", "--in", str(path), "--window", "20", "--out", str(dest)]) == 0
         assert json.loads(dest.read_text())["local_window"] == 20
+
+
+class TestDocumentation:
+    def test_readme_mentions_every_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        missing = [f"aci {name} {flag}" for name, sub in commands.items()
+                   for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"
+                   and not re.search(rf"(?<![\w-]){flag}(?![\w-])", readme)]
+        assert not missing, f"README.md does not mention {', '.join(missing)}"
 
 
 class TestLoggingEnv:

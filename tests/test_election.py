@@ -331,4 +331,5 @@ class TestExperiment:
     def test_too_few_counties(self):
         counties, order = self._setup(n=100)
         with pytest.raises(NoDataError):
-            run_election_experiment(counties, order, self.CONFIG, warmup=500)
+            run_election_experiment(counties, order, self.CONFIG, warmup=500,
+                                    rng=np.random.default_rng(0))

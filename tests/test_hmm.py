@@ -138,6 +138,16 @@ class TestQuantileFunctions:
         np.testing.assert_array_equal(levels, ndtr((scores - 0.5) / 2.0))
         assert strict
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_exceedance_levels_reject_a_non_finite_score(self, bad):
+        # The run would otherwise count a NaN level as covered (nan > 1 - alpha_t is false).
+        scores = np.zeros((3, 4))
+        scores[1, 2] = scores[2, 0] = bad
+        with pytest.raises(DomainError, match=f"replication 2, step 3 is {bad}$"):
+            exceedance_levels(NormalQuantile(), scores)
+        with pytest.raises(DomainError, match="replication 1, step 2 is nan$"):
+            exceedance_levels(NormalQuantile(), [0.5, math.nan, 0.5])
+
 
 def normal_threshold_loop(scores, qhat, config):
     """(alphas, errs) of the literal per-step loop over the thresholds ``qhat(1 - alpha_t)``.
@@ -350,6 +360,10 @@ class TestBiasEstimation:
         assert isinstance(est, BiasEstimate)
         assert est.b_hat <= 0.01
         assert est.n_samples == 100 * 1000
+        # One state: the mean of the per-replication means is the state's mean.
+        assert est.per_rep_err_mean.shape == (100,)
+        assert np.mean(est.per_rep_err_mean) == pytest.approx(est.per_state_err_mean[0],
+                                                              abs=1e-12)
 
     def test_sigma_b2_below_b_squared(self):
         spec = two_state_spec()
@@ -379,12 +393,17 @@ class TestBoundEvaluators:
     def test_large_deviation_limits(self):
         assert bounds.large_deviation_rhs(1000, 1e-12, 0.8, 0.01, 0.1) == pytest.approx(4.0, abs=1e-6)
         assert bounds.large_deviation_rhs(10**6, 0.05, 0.8, 0.01, 0.1) < 1e-100
+        # An infinite epsilon would make the second exponent -inf / inf = nan.
+        with pytest.raises(DomainError, match="epsilon must be finite and positive"):
+            bounds.large_deviation_rhs(1000, math.inf, 0.8, 0.01, 0.1)
 
     def test_regret_values(self):
         assert bounds.regret_rhs(1.0, 0.005, 0.001) == pytest.approx(0.2035, abs=1e-12)
         assert bounds.regret_rhs(1.0, 0.005, 0.0) == pytest.approx(0.0025, abs=1e-15)
         with pytest.raises(DomainError):
             bounds.regret_rhs(1.0, 0.0, 0.001)
+        with pytest.raises(DomainError, match="lipschitz must be finite and positive"):
+            bounds.regret_rhs(math.inf, 0.005, 0.001)
 
     def test_gamma_star(self):
         assert bounds.gamma_star(0.00125) == pytest.approx(0.05, abs=1e-15)

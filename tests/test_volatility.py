@@ -220,10 +220,11 @@ class TestFit:
             fit_garch(rets[210:2210])
         assert err.value.best.params.omega < 1e-20
 
-    def test_convergence_error_carries_best_fit(self):
+    def test_convergence_error_carries_best_fit(self, monkeypatch):
         rets = simulate_garch_returns(500, GarchParams(0.05, 0.1, 0.85), np.random.default_rng(3))
+        monkeypatch.setattr(volatility, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            fit_garch(rets, max_iter=1)
+            fit_garch(rets)
         assert isinstance(err.value.best, GarchFit)
 
 
