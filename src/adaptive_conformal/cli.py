@@ -60,7 +60,9 @@ def _config_from_args(args) -> core.AciConfig:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    if not (values := [float(tok) for tok in text.split(",") if tok]):
+        raise argparse.ArgumentTypeError("needs at least one number")
+    return values
 
 
 def _seed(text: str) -> int:
@@ -135,29 +137,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outdir(args) -> Path:
+def _outfile(args, name: str) -> Path:
+    """``--out``/``name``: the directory is made only when a file is about to be written."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / name
 
 
-def _write_experiment_outputs(out: Path, report, local_window: int) -> None:
-    io.write_trajectory(out / "trajectory.csv", report, local_window)
-    summary = metrics.summarize(report, local_window)
-    io.write_json(out / "summary.json", io.summary_payload(summary, report, local_window))
+def _write_experiment_outputs(args, report) -> None:
+    window = args.local_window
+    io.write_trajectory(_outfile(args, "trajectory.csv"), report, window)
+    summary = metrics.summarize(report, window)
+    io.write_json(_outfile(args, "summary.json"), io.summary_payload(summary, report, window))
 
 
 def _run_volatility(args) -> int:
     config = _config_from_args(args)
     metrics.check_local_window(args.local_window)
-    out = _outdir(args)
     prices_path = args.prices
     if args.synthetic is not None:
         rng = np.random.default_rng(args.seed)
         prices = volatility.default_regime_prices(args.synthetic, rng)
         first = date(2000, 1, 1)
         dates = [(first + timedelta(days=i)).isoformat() for i in range(len(prices))]
-        prices_path = out / "prices.csv"
+        prices_path = _outfile(args, "prices.csv")
         io.write_prices(prices_path, dates, prices)
     # Synthetic prices are read back so the run sees exactly what the file holds.
     dates, prices = io.read_prices(prices_path)
@@ -165,18 +168,17 @@ def _run_volatility(args) -> int:
     report = volatility.run_volatility_experiment(
         prices, config, window=args.window, refit_every=args.refit_every, labels=labels
     )
-    _write_experiment_outputs(out, report, args.local_window)
+    _write_experiment_outputs(args, report)
     return 0
 
 
 def _run_election(args) -> int:
     config = _config_from_args(args)
     metrics.check_local_window(args.local_window)
-    out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     counties_path = args.counties
     if args.synthetic is not None:
-        counties_path = out / "counties.csv"
+        counties_path = _outfile(args, "counties.csv")
         io.write_counties(counties_path, election.generate_synthetic_counties(
             args.synthetic, args.covariates, seed=args.seed))
     # Synthetic counties are read back so the run sees exactly what the file holds.
@@ -192,13 +194,12 @@ def _run_election(args) -> int:
         refit_every=args.refit_every,
         rng=rng,
     )
-    _write_experiment_outputs(out, report, args.local_window)
+    _write_experiment_outputs(args, report)
     return 0
 
 
 def _run_simulate(args) -> int:
     config = _config_from_args(args)
-    out = _outdir(args)
     n = args.states
     spec = hmm.HmmSpec(hmm.symmetric_chain(n, args.p), _per_state(args.means, "--means", n),
                        _per_state(args.scales, "--scales", n))
@@ -215,7 +216,8 @@ def _run_simulate(args) -> int:
     )
     config_echo = {"alpha": config.target_miscoverage, "gamma": config.step_size,
                    "horizon": args.horizon, "reps": args.reps}
-    io.write_json(out / "theory.json", {**dataclasses.asdict(report), "config": config_echo})
+    io.write_json(_outfile(args, "theory.json"),
+                  {**dataclasses.asdict(report), "config": config_echo})
     return 0
 
 

@@ -283,6 +283,9 @@ def theory_suite(
     plug-ins and the per-replication exceedance frequencies; the bound values
     use the analytic spectral gap and oracle-level shift of the chain.
     """
+    for name, value in [*(("epsilon", eps) for eps in epsilons), ("lipschitz", lipschitz)]:
+        if not 0.0 < value < math.inf:  # ``bounds`` rejects it too, after the simulation
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     alpha = config.target_miscoverage
     bias = estimate_bias_terms(spec, qhat, config, reps, rng, horizon)
     b_hat, sigma_b2_hat = bias.b_hat, bias.sigma_b2_hat

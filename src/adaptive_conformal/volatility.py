@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py rebinds it)
 from scipy.signal import lfilter
 
 from . import core
@@ -73,7 +73,7 @@ class GarchFit:
     params: GarchParams
     sigma2_path: np.ndarray
     neg_loglik: float
-    iterations: int  # BFGS iterations over all starting points
+    iterations: int  # search iterations (scoring or Newton) over all starting points
 
 
 def returns_from_prices(prices) -> np.ndarray:
@@ -150,27 +150,64 @@ def _pack(omega: float, a: float, b: float) -> np.ndarray:
     return np.array([math.log(omega), math.log(a / rest), math.log(b / rest)])
 
 
-def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood at unconstrained ``x`` and its exact gradient in ``x``.
+def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float, hessian: bool = False):
+    """(nll, gradient, expected information, Hessian if asked) at unconstrained ``x``.
 
-    d sigma2_t / d(omega, a, b) is the variance filter run over the driving rows
-    (1, r_{t-1}^2, sigma2_{t-1}) (Fiorentini, Calzolari & Panattoni 1996),
-    chained through ``_unpack``. A degenerate path scores 1e12, gradient 0.
+    d sigma2_t / d(omega, a, b) filters the rows (1, r_{t-1}^2, sigma2_{t-1}); the only
+    nonzero d2 sigma2_t / db d. filter those a step late (Fiorentini et al. 1996). The
+    information is 0.5 * sum(d sigma2 d sigma2^T / sigma2^2). A degenerate path, or
+    derivatives that overflow (``lstsq`` hangs on inf), score 1e12 with zeros.
     """
     omega, a, b = _unpack(x)
     path = _sigma2_path(omega, a, b, returns, s0) if 0.0 < omega < math.inf else None
-    if path is None:
-        return 1e12, np.zeros(3)
-    drive = np.stack([np.ones(returns.size - 1), returns[:-1] ** 2, path[:-1]])
-    dpath = lfilter([1.0], [1.0, -b], drive, axis=1)
-    d_omega, d_a, d_b = dpath @ (0.5 * (path[1:] - returns[1:] ** 2) / path[1:] ** 2)
-    mean = a * d_a + b * d_b  # (a, b) is a softmax of (u, v)
-    return _gaussian_nll(path, returns), np.array([omega * d_omega, a * (d_a - mean),
-                                                   b * (d_b - mean)])
+    if path is not None:
+        drive = np.stack([np.ones(returns.size - 1), returns[:-1] ** 2, path[:-1]])
+        dpath = lfilter([1.0], [1.0, -b], drive, axis=1)
+        rel, z2 = dpath / path[1:], returns[1:] ** 2 / path[1:]
+        jac = np.array([[omega, 0.0, 0.0],  # symmetric: (a, b) is a softmax of (u, v)
+                        [0.0, a * (1.0 - a), -a * b], [0.0, -a * b, b * (1.0 - b)]])
+        grad = jac @ (rel @ (0.5 * (1.0 - z2)))
+        info, hess = jac @ (0.5 * rel @ rel.T) @ jac, None
+        if hessian:
+            late = lfilter([0.0, 1.0], [1.0, -b], dpath, axis=1)  # b row: half d2 / db2
+            tail = np.outer([0.0, 0.0, 1.0], late @ (0.5 * (1.0 - z2) / path[1:]))
+            curv = np.diag(grad)  # the gradient through the curvature of exp and the softmax
+            curv[1:, 1:] -= np.outer([a, b], grad[1:]) + np.outer(grad[1:], [a, b])
+            hess = jac @ ((rel * (z2 - 0.5)) @ rel.T + tail + tail.T) @ jac + curv
+        if all(np.isfinite(m).all() for m in (grad, info, hess) if m is not None):
+            return _gaussian_nll(path, returns), grad, info, hess
+    return 1e12, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3))
+
+
+def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float):
+    """Fisher scoring from ``x``, Newton where it fails: (nll, gradient, x, iterations).
+
+    Where the scoring step fails to lower the NLL (short windows, boundary optima), the
+    Newton step on the |eigenvalue| Hessian is halved until it does. It stops when no
+    halving helps, an unhalved step gains under 1e-10 relative, or at ``MAX_ITER``.
+    """
+    nll, grad, info, _ = _nll_and_grad(x, returns, s0)
+    for it in range(1, MAX_ITER + 1):
+        step = np.linalg.lstsq(info, -grad, rcond=None)[0]  # singular if a weight is 0
+        for halvings in range(42):  # scoring, Newton, then 40 halvings of Newton
+            trial = _nll_and_grad(x + step, returns, s0)
+            if trial[0] < nll:
+                break
+            step = step / 2.0
+            if halvings == 0:
+                lam, vec = np.linalg.eigh(_nll_and_grad(x, returns, s0, hessian=True)[3])
+                step = np.linalg.lstsq((vec * np.abs(lam)) @ vec.T, -grad, rcond=None)[0]
+        else:
+            return nll, grad, x, it
+        x, gain = x + step, nll - trial[0]
+        nll, grad, info, _ = trial
+        if halvings <= 1 and gain < 1e-10 * max(1.0, abs(nll)):
+            return nll, grad, x, it
+    return nll, grad, x, MAX_ITER
 
 
 def fit_garch(returns) -> GarchFit:
-    """Maximum-likelihood GARCH(1,1) fit: BFGS on ``_nll_and_grad`` from three starts.
+    """Maximum-likelihood GARCH(1,1) fit: ``_fisher_scoring`` from three starts.
 
     Each search runs at most ``MAX_ITER`` iterations, read at call time.
     The best optimum must have a scaled gradient norm (search coordinates) of
@@ -187,21 +224,19 @@ def fit_garch(returns) -> GarchFit:
     if sample_var < SIGMA2_FLOOR:
         raise DegenerateDataError("returns have (numerically) zero variance")
 
-    runs = [minimize(_nll_and_grad, _pack(sample_var * (1.0 - a0 - b0), a0, b0),
-                     args=(returns, sample_var), method="BFGS", jac=True,
-                     options={"maxiter": MAX_ITER})
+    runs = [_fisher_scoring(_pack(sample_var * (1.0 - a0 - b0), a0, b0), returns, sample_var)
             for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]]
-    best = min(runs, key=lambda res: res.fun)
-    omega, a, b = _unpack(best.x)
+    nll, grad, x, _ = min(runs, key=lambda run: run[0])
+    omega, a, b = _unpack(x)
     if a + b >= 1.0 - 1e-10:  # float rounding at the simplex boundary
         shrink = (1.0 - 1e-10) / (a + b)
         a, b = a * shrink, b * shrink
     params = GarchParams(omega, a, b)
-    fit = GarchFit(params, garch_sigma2_path(params, returns, sample_var), float(best.fun),
-                   sum(res.nit for res in runs))
+    fit = GarchFit(params, garch_sigma2_path(params, returns, sample_var), float(nll),
+                   sum(run[3] for run in runs))
     scale = max(1.0, abs(fit.neg_loglik))
-    gradient = float(np.max(np.abs(best.jac))) / scale
-    omega_gain = -best.jac[0] / omega * sample_var / scale
+    gradient = float(np.max(np.abs(grad))) / scale
+    omega_gain = -grad[0] / omega * sample_var / scale
     if gradient > GRADIENT_TOL or omega_gain > OMEGA_GAIN_TOL:
         raise ConvergenceError(f"scaled gradient norm {gradient:.3g} (limit {GRADIENT_TOL:g}), "
                                f"gain {omega_gain:.3g} from raising omega = {omega:.3g} "
@@ -320,7 +355,7 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
             prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
             raise ExperimentAborted(f"GARCH refit failed at step {t - window}: {exc}",
                                     prefix) from exc
-        logger.info("refit at step %d: omega=%.6g a=%.6g b=%.6g nll=%.6f bfgs_iterations=%d",
+        logger.info("refit at step %d: omega=%.6g a=%.6g b=%.6g nll=%.6f iterations=%d",
                     t - window, *astuple(fit.params), fit.neg_loglik, fit.iterations)
         if t == window:
             fitted[:window] = fit.sigma2_path

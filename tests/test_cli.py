@@ -105,12 +105,52 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "theory.json").exists()
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--lipschitz"])
-    def test_infinite_bound_parameter_is_data_error(self, tmp_path, capsys, flag):
+    def test_infinite_bound_parameter_is_data_error(self, tmp_path, capsys, monkeypatch, flag):
+        def no_simulation(*args):
+            raise AssertionError("simulated a run whose bounds cannot be evaluated")
+
+        monkeypatch.setattr(hmm, "simulate_hmm_batch", no_simulation)
         assert run(["simulate", "--horizon", "200", "--reps", "100", flag, "inf",
                     "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             f"error: {flag[2:]} must be finite and positive, got inf\n")
-        assert not (tmp_path / "out" / "theory.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_epsilon_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--epsilon", "", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --epsilon: needs at least one number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--refit-every", "0"], ["--window", "5"],
+    ])
+    def test_rejected_volatility_run_leaves_no_output_directory(self, tmp_path, price_file,
+                                                                flags):
+        out = tmp_path / "out"
+        assert run(["volatility", "--prices", str(price_file), *flags, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--cal-frac", "1.5"], ["--warmup", "700"], ["--sigma", "-1"],
+    ])
+    def test_rejected_election_run_leaves_no_output_directory(self, tmp_path, flags):
+        counties = tmp_path / "counties.csv"
+        write_counties(counties, generate_synthetic_counties(640, 3, seed=0))
+        out = tmp_path / "out"
+        assert run(["election", "--counties", str(counties), *flags, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--p", "1.5"], ["--states", "3"], ["--epsilon", "inf"],
+    ])
+    def test_rejected_simulate_run_leaves_no_output_directory(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert run(["simulate", "--horizon", "200", "--reps", "100", *flags,
+                    "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-3000"])
     def test_horizon_below_one_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
