@@ -31,7 +31,6 @@ from .election import (
     fit_quantile_regression,
     generate_synthetic_counties,
     pinball_loss,
-    run_election_experiment,
     sample_ordering,
 )
 from .hmm import (
@@ -98,7 +97,6 @@ __all__ = [
     "pinball_loss",
     "prop_bound",
     "returns_from_prices",
-    "run_election_experiment",
     "run_volatility_experiment",
     "sample_ordering",
     "simulate_garch_prices",

@@ -72,15 +72,6 @@ def ideal_expectation(t: int, alpha1: float, gamma: float, alpha: float) -> floa
     return alpha + (1.0 - gamma) ** (t - 1) * (alpha1 - alpha)
 
 
-def bias_upper_bound(c: float, gamma: float, eps1: float, eps2: float) -> float:
-    """Worst-state bias bound C * (gamma + (eps1 + eps2) / gamma)."""
-    if c < 0.0 or eps1 < 0.0 or eps2 < 0.0:
-        raise DomainError("constants must be nonnegative")
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    return c * (gamma + (eps1 + eps2) / gamma)
-
-
 def lattice_check(alphas, alpha: float, gamma: float, tol: float = 1e-9) -> bool:
     """True when every level sits on the lattice {alpha + k * gamma * alpha}.
 

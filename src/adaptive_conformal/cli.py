@@ -185,16 +185,16 @@ def _run_election(args) -> int:
     counties = io.read_counties(counties_path)
     populations = np.array([c.population for c in counties])
     ordering = election.sample_ordering(populations, args.sigma, rng)
-    report = election.run_election_experiment(
+    stream = election.cqr_prediction_stream(
         counties,
         ordering,
-        config,
+        config.target_miscoverage,
         warmup=args.warmup,
         cal_frac=args.cal_frac,
         refit_every=args.refit_every,
         rng=rng,
     )
-    _write_experiment_outputs(args, report)
+    _write_experiment_outputs(args, election.replay_prediction_stream(stream, config))
     return 0
 
 

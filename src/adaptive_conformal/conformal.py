@@ -43,20 +43,8 @@ class PredictionInterval:
     def is_empty(self):
         return self.lower > self.upper
 
-    @property
-    def is_whole_line(self):
-        return (self.lower == -INF) & (self.upper == INF)
-
     def contains(self, y):
         return (self.lower <= y) & (y <= self.upper)
-
-    @property
-    def width(self):
-        return np.where(self.is_empty, 0.0, self.upper - self.lower)[()]
-
-
-EMPTY_INTERVAL = PredictionInterval(INF, -INF)
-WHOLE_LINE = PredictionInterval(-INF, INF)
 
 
 def _columns(lower, upper) -> PredictionInterval:

@@ -103,7 +103,8 @@ def run_level_batch(config: AciConfig, levels, strict: bool) -> tuple[np.ndarray
     """The level recursion over exceedance levels: the one loop every runner goes through.
 
     Step t misses when ``levels[t] > 1 - alpha_t`` (``strict``), else when
-    ``levels[t] >= 1 - alpha_t``. A 1-D row runs on Python floats; the rows of a
+    ``levels[t] >= 1 - alpha_t``; as in ``update``, it never misses at alpha_t < 0
+    and always misses at alpha_t >= 1. A 1-D row runs on Python floats; the rows of a
     (reps, horizon) batch evolve independently on numpy columns. Returns
     (alphas, errs) shaped like ``levels``; ``alphas[..., t]`` is in force at step t.
     """
@@ -115,11 +116,12 @@ def run_level_batch(config: AciConfig, levels, strict: bool) -> tuple[np.ndarray
     a = config.initial_level if row else np.full(levels.shape[0], float(config.initial_level))
     num = den = 0.0
     for t, u in enumerate(levels.tolist() if row else levels.T):
-        # A negative level covers the whole line. Levels never exceed 1, so a
-        # strict comparison already gives no error there; a non-strict one
-        # could, because 1 - a rounds to 1 for tiny negative a.
+        # Levels lie in [0, 1], so the strict comparison already gives no error
+        # at a < 0 and the non-strict one an error at a >= 1. Each needs a guard
+        # at its other end: 1 - a rounds to 1 for tiny negative a, and at a = 1 a
+        # level that underflowed to 0 is not above 1 - a = 0.
         p = 1.0 - a
-        err = u > p if strict else (u >= p) & (a >= 0.0)
+        err = (u > p) | (a >= 1.0) if strict else (u >= p) & (a >= 0.0)
         alpha_out[t], err_out[t] = a, err
         a, num, den = next_level(config, a, err, num, den)
     return alphas, errs
@@ -129,15 +131,15 @@ def update(state: AciState, err: int) -> AciState:
     """Advance the trajectory by one step.
 
     The error bit is coerced to the value forced by the current level: with
-    alpha_t < 0 the set covers everything so ``err = 0``, with alpha_t > 1 it
-    covers nothing so ``err = 1``. Inside [0, 1] the caller's bit is used.
+    alpha_t < 0 the set covers everything so ``err = 0``, with alpha_t >= 1 it
+    covers nothing so ``err = 1``. Inside [0, 1) the caller's bit is used.
     """
     if err not in (0, 1):
         raise ConfigurationError(f"err must be 0 or 1, got {err!r}")
     a = state.current_level
     if a < 0.0:
         err = 0
-    elif a > 1.0:
+    elif a >= 1.0:
         err = 1
     level, num, den = next_level(state.config, a, err, state.weighted_err_numerator,
                                  state.weighted_err_denominator)

@@ -148,7 +148,7 @@ class CountyRecord:
 
     id: str
     population: float
-    covariates: np.ndarray
+    covariates: tuple[float, ...]
     y_prev: float
     y: float
 
@@ -161,18 +161,7 @@ class CountyRecord:
             )
         if self.y < 0.0:
             raise ConfigurationError(f"vote count must be nonnegative, got {self.y}")
-        object.__setattr__(self, "covariates", np.asarray(self.covariates, dtype=float))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CountyRecord):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.population == other.population
-            and np.array_equal(self.covariates, other.covariates)
-            and self.y_prev == other.y_prev
-            and self.y == other.y
-        )
+        object.__setattr__(self, "covariates", tuple(map(float, self.covariates)))
 
     @property
     def residual(self) -> float:
@@ -320,25 +309,3 @@ def replay_prediction_stream(stream: CqrStream, aci_config: core.AciConfig) -> T
         upper=stream.y_prev * (1.0 + report.upper),
     )
 
-
-def run_election_experiment(
-    counties: list[CountyRecord],
-    ordering,
-    aci_config: core.AciConfig,
-    warmup: int = 500,
-    cal_frac: float = 0.25,
-    refit_every: int = 1,
-    *,
-    rng: np.random.Generator,
-) -> TrajectoryReport:
-    """Sequential CQR over counties in the given order, with adaptive level."""
-    steps = cqr_prediction_stream(
-        counties,
-        ordering,
-        aci_config.target_miscoverage,
-        warmup=warmup,
-        cal_frac=cal_frac,
-        refit_every=refit_every,
-        rng=rng,
-    )
-    return replay_prediction_stream(steps, aci_config)

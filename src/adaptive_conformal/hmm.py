@@ -179,9 +179,6 @@ class BiasEstimate:
     b_hat: float
     sigma_b2_hat: float
     per_state_err_mean: np.ndarray
-    per_state_se: np.ndarray
-    stationary: np.ndarray
-    n_samples: int
     per_rep_err_mean: np.ndarray
 
 
@@ -198,8 +195,7 @@ def estimate_bias_terms(
     Runs ``reps`` batched replications, each discarding a burn-in of
     ceil(20 / gamma) steps so the (level, state) pair is close to stationarity,
     then averages error bits by state across all replications, and by
-    replication across all states. The max estimate is biased upward by noise,
-    so per-state standard errors are reported alongside.
+    replication across all states. The max estimate is biased upward by noise.
     """
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
@@ -221,24 +217,17 @@ def estimate_bias_terms(
     # Masks stay two-dimensional: flattening the non-contiguous tail views would copy them.
     tail_states, tail_errs = states[:, burn:], errs[:, burn:]
     means = np.empty(spec.n_states)
-    ses = np.empty(spec.n_states)
     for a in range(spec.n_states):
         mask = tail_states == a
-        n_a = int(mask.sum())
-        if n_a == 0:
+        if not mask.any():
             raise DomainError(f"state {a} was never visited; increase reps or horizon")
-        m = float(tail_errs[mask].mean())
-        means[a] = m
-        ses[a] = math.sqrt(max(m * (1.0 - m), 1e-12) / n_a)
+        means[a] = tail_errs[mask].mean()
     pi = stationary_distribution(spec.transition)
     dev = means - config.target_miscoverage
     return BiasEstimate(
         b_hat=float(np.max(np.abs(dev))),
         sigma_b2_hat=float(np.sum(pi * dev**2)),
         per_state_err_mean=means,
-        per_state_se=ses,
-        stationary=pi,
-        n_samples=tail_errs.size,
         per_rep_err_mean=tail_errs.mean(axis=1),
     )
 

@@ -26,10 +26,6 @@ TRAJECTORY_HEADER = ["t", "label", "alpha_t", "err", "lower", "upper", "local_co
 
 
 def format_number(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
     return f"{x:.12g}"
 
 
@@ -148,20 +144,11 @@ def read_counties(path):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=i)
         _require_one_line("id", row[0], line=i)
-        population = parse_finite(row[1], i)
-        covariates = np.array([parse_finite(v, i) for v in row[2 : 2 + d]])
-        y_prev = parse_finite(row[2 + d], i)
-        y = parse_finite(row[3 + d], i)
-        if not population > 0.0:
-            raise ValidationError(f"population must be positive, got {row[1]}", line=i)
-        if not y_prev > 0.0:
-            raise ValidationError(f"y_prev must be positive, got {row[2 + d]}", line=i)
-        if y < 0.0:
-            raise ValidationError(f"y must be nonnegative, got {row[3 + d]}", line=i)
-        records.append(
-            CountyRecord(id=row[0], population=population, covariates=covariates,
-                         y_prev=y_prev, y=y)
-        )
+        population, *covariates, y_prev, y = (parse_finite(v, i) for v in row[1:])
+        try:
+            records.append(CountyRecord(row[0], population, covariates, y_prev, y))
+        except ConfigurationError as exc:
+            raise ValidationError(str(exc), line=i) from None
     if not records:
         raise ParseError("file has no data rows", line=1)
     return records

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptive_conformal.conformal import (
-    EMPTY_INTERVAL,
-    WHOLE_LINE,
     AbsoluteScore,
     CqrScore,
     NormalizedScore,
@@ -126,7 +124,7 @@ class TestIntervals:
 
     def test_infinite_threshold_covers_everything(self):
         for ctx in (AbsoluteScore(0.0), NormalizedScore(1.0), CqrScore(0.0, 1.0)):
-            assert ctx.interval(math.inf) == WHOLE_LINE
+            assert ctx.interval(math.inf) == PredictionInterval(-math.inf, math.inf)
 
     def test_unreachable_thresholds_give_empty_sets(self):
         assert AbsoluteScore(1.0).interval(-0.5).is_empty
@@ -137,8 +135,8 @@ class TestIntervals:
             assert ctx.interval(-math.inf).is_empty
 
     def test_empty_interval_contains_nothing(self):
-        assert not EMPTY_INTERVAL.contains(0.0)
-        assert EMPTY_INTERVAL.width == 0.0
+        empty = PredictionInterval(math.inf, -math.inf)
+        assert empty.is_empty and not empty.contains(0.0)
 
 
 class TestErrIndicator:
@@ -225,7 +223,8 @@ class TestArrayNativeFamilies:
         empty = columns.lower > columns.upper
         np.testing.assert_array_equal(columns.lower[empty], math.inf)
         np.testing.assert_array_equal(columns.upper[empty], -math.inf)
-        np.testing.assert_array_equal(columns.is_whole_line, thresholds == math.inf)
+        whole = (columns.lower == -math.inf) & (columns.upper == math.inf)
+        np.testing.assert_array_equal(whole, thresholds == math.inf)
 
     def test_crossing_pairs_are_swapped_elementwise(self):
         ctx = CqrScore(np.array([5.0, 1.0]), np.array([2.0, 3.0]))

@@ -90,12 +90,18 @@ class TestSimpleUpdate:
         assert forced.current_level > state.current_level
 
     def test_forced_err_above_one(self):
-        cfg = AciConfig(0.9, 0.2, initial_level=1.0)
-        state = update(init(cfg), 0)  # level -> 1.18
+        cfg = AciConfig(0.9, 0.2, initial_level=0.99)
+        state = update(init(cfg), 0)  # level -> 1.17
         assert state.current_level > 1
         forced = update(state, 0)
         assert forced.cumulative_err_count == 1  # coerced to 1 despite the caller's 0
         assert forced.current_level < state.current_level
+
+    def test_forced_err_at_one(self):
+        # At alpha_t = 1 the set is already empty (metrics.replay writes (inf, -inf)).
+        forced = update(init(AciConfig(0.1, 0.05, initial_level=1.0)), 0)
+        assert forced.cumulative_err_count == 1
+        assert forced.current_level == pytest.approx(1.0 + 0.05 * (0.1 - 1.0), abs=1e-15)
 
     def test_non_binary_err_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -359,7 +359,6 @@ class TestBiasEstimation:
         )
         assert isinstance(est, BiasEstimate)
         assert est.b_hat <= 0.01
-        assert est.n_samples == 100 * 1000
         # One state: the mean of the per-replication means is the state's mean.
         assert est.per_rep_err_mean.shape == (100,)
         assert np.mean(est.per_rep_err_mean) == pytest.approx(est.per_state_err_mean[0],
@@ -413,19 +412,6 @@ class TestBoundEvaluators:
         assert bounds.ideal_expectation(1, 0.5, 0.005, 0.1) == 0.5
         assert bounds.ideal_expectation(2, 0.5, 0.005, 0.1) == pytest.approx(0.498, abs=1e-12)
         assert bounds.ideal_expectation(10**6, 0.5, 0.005, 0.1) == pytest.approx(0.1, abs=1e-12)
-
-    def test_bias_upper_bound(self):
-        assert bounds.bias_upper_bound(2.0, 0.05, 0.001, 0.001) == pytest.approx(0.18, abs=1e-12)
-        assert bounds.bias_upper_bound(2.0, 0.03, 0.0, 0.0) == pytest.approx(0.06, abs=1e-12)
-        with pytest.raises(DomainError):
-            bounds.bias_upper_bound(2.0, 0.0, 0.001, 0.001)
-
-    def test_bias_bound_minimized_at_sqrt_eps(self):
-        eps = 0.0016
-        best = math.sqrt(eps)
-        grid = np.linspace(0.005, 0.2, 400)
-        vals = [bounds.bias_upper_bound(1.0, g, eps, 0.0) for g in grid]
-        assert bounds.bias_upper_bound(1.0, best, eps, 0.0) <= min(vals) + 1e-12
 
     def test_lattice_check(self):
         assert bounds.lattice_check([0.1], 0.1, 0.005)

@@ -133,6 +133,9 @@ class TestCounties:
         pytest.param(3, "-inf", ValidationError, id="infinite-covariate"),
         pytest.param(4, "nan", ValidationError, id="nan-y-prev"),
         pytest.param(5, "inf", ValidationError, id="infinite-y"),
+        pytest.param(1, "-20", ValidationError, id="negative-population"),
+        pytest.param(4, "0", ValidationError, id="zero-y-prev"),
+        pytest.param(5, "-1", ValidationError, id="negative-y"),
         pytest.param(0, "c\udcff", ParseError, id="not-utf8"),
         pytest.param(0, '"c\n2"', ValidationError, id="line-break-in-id"),
         pytest.param(0, "c\x1c2", ValidationError, id="separator-in-id"),
