@@ -62,7 +62,7 @@ class AciConfig:
             )
         if self.update_rule not in (SIMPLE, WEIGHTED):
             raise ConfigurationError(f"unknown update_rule {self.update_rule!r}")
-        if self.update_rule == WEIGHTED and not 0.0 < self.decay < 1.0:
+        if not 0.0 < self.decay < 1.0:
             raise ConfigurationError(f"decay must lie in (0, 1), got {self.decay}")
 
 

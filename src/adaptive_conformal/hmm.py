@@ -113,7 +113,7 @@ def simulate_hmm_batch(
         raise ConfigurationError("horizon and reps must be >= 1")
     pi = stationary_distribution(spec.transition)
     cum = np.cumsum(spec.transition, axis=1)
-    states = np.empty((reps, horizon), dtype=np.int64)
+    states = np.empty((reps, horizon), dtype=np.min_scalar_type(spec.n_states - 1))
     states[:, 0] = rng.choice(spec.n_states, size=reps, p=pi)
     for t in range(1, horizon):
         u = rng.random(reps)

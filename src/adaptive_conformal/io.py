@@ -130,7 +130,7 @@ def _county_header(d: int) -> list[str]:
 
 def read_counties(path):
     """Parse an ``id,population,x1..xd,y_prev,y`` table into CountyRecord rows."""
-    from .election import CountyRecord
+    from .election import CountyRecord  # deferred: importing io loads no scipy
 
     rows = list(csv.reader(StringIO(_read_text(path), newline="")))
     if not rows:

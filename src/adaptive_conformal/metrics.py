@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class TrajectoryReport:
     step_labels: tuple[str, ...]
     config_echo: AciConfig
     valid: bool = True
-    failure: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "errs", np.asarray(self.errs, dtype=np.int8))

@@ -421,6 +421,6 @@ def run_volatility_experiment(
         stream = forecast_stream(rets, window, refit_every)
     except ExperimentAborted as exc:
         partial = replay_forecast_stream(*exc.partial_report, aci_config, labels)
-        exc.partial_report = replace(partial, valid=False, failure=str(exc.__cause__))
+        exc.partial_report = replace(partial, valid=False)
         raise
     return replay_forecast_stream(*stream, aci_config, labels)

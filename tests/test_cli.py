@@ -126,6 +126,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--refit-every", "0"], ["--window", "5"],
+        ["--window", "100", "--decay", "7"], ["--window", "100", "--decay", "nan"],
     ])
     def test_rejected_volatility_run_leaves_no_output_directory(self, tmp_path, price_file,
                                                                 flags):

@@ -50,6 +50,8 @@ class TestConfig:
             dict(target_miscoverage=0.1, update_rule="weighted", decay=0.0),
             dict(target_miscoverage=0.1, update_rule="momentum"),
             dict(target_miscoverage=0.1, step_size=math.inf),
+            dict(target_miscoverage=0.1, decay=7.0),
+            dict(target_miscoverage=0.1, decay=math.nan),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -6,10 +6,15 @@ attribute) pair the benchmark's tracer patches: a shim kept so the tracer can
 wrap a name the module no longer calls. Once the tracer stops patching it, the
 shim fails here. Every ``__all__`` name must resolve on the imported module. A
 deletion that leaves a stale import behind fails here.
+
+The package root and the modules the online wrapper needs import with numpy
+alone: a fresh interpreter that imports one of them has no scipy module loaded.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,9 @@ from test_tracer_names import SOLVERS, SPANS
 TRACED = {(module, attr) for module, attr, _ in SPANS} | set(SOLVERS)
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "adaptive_conformal"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+#: Modules whose import must load no scipy module.
+NUMPY_ONLY = ["adaptive_conformal"] + [
+    f"adaptive_conformal.{m}" for m in ("core", "conformal", "metrics", "bounds", "io", "errors")]
 
 
 def parse(name):
@@ -61,3 +69,12 @@ def test_every_exported_name_resolves(name):
                                      else "adaptive_conformal")
     missing = [n for n in exported(parse(name)[1]) if not hasattr(module, n)]
     assert not missing, f"{name}.py exports names it does not define: {missing}"
+
+
+@pytest.mark.parametrize("module", NUMPY_ONLY)
+def test_import_loads_no_scipy(module):
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import {module}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert not out, f"importing {module} loads {len(out)} scipy modules: {out[:5]}"
