@@ -16,10 +16,14 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import bounds, core
-from .core import run_level_batch
+from .core import run_level_batch  # noqa: F401  (re-exported: c01-c07 import it from here)
 from .errors import ConfigurationError, DomainError, ErgodicityError, NonReversibleChainError
 
 REVERSIBILITY_TOL = 1e-9
+
+#: Time steps per block of a batched run: every array the theory suite builds is
+#: at most (reps, BLOCK), whatever the run length.
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -105,25 +109,50 @@ def spectral_gap(transition) -> float:
     return 1.0 - eta
 
 
+def _blocks(spec: HmmSpec, steps: int, reps: int, rng: np.random.Generator):
+    """``reps`` stationary paths of ``steps`` steps, yielded BLOCK steps at a time.
+
+    Yields (t0, states, scores), both (b, reps) and time-major, for steps t0 to
+    t0 + b - 1. Each block draws its b * reps uniforms, then its b * reps normals.
+    The chain starts one step before step 0 from its stationary law, so every
+    step is a transition. A step counts the first n - 1 cumulative columns of the
+    previous state's row below its uniform; the last state is the fall-through,
+    which a one-state chain never leaves.
+    """
+    cols = np.cumsum(spec.transition, axis=1)[:, :-1].T.copy()
+    dtype = np.min_scalar_type(spec.n_states - 1)
+    pi = stationary_distribution(spec.transition)
+    prev = rng.choice(spec.n_states, size=reps, p=pi).astype(dtype)
+    for t0 in range(0, steps, BLOCK):
+        b = min(BLOCK, steps - t0)
+        uniforms = rng.random((b, reps))
+        states = np.zeros((b, reps), dtype=dtype)
+        for state, u in zip(states, uniforms):
+            for col in cols:
+                state += col[prev] < u
+            prev = state
+        scores = rng.standard_normal((b, reps))
+        with np.errstate(over="ignore"):  # huge scores overflow; exceedance_levels rejects them
+            scores *= spec.score_scales[states]
+            scores += spec.score_means[states]
+        yield t0, states, scores
+
+
 def simulate_hmm_batch(
     spec: HmmSpec, horizon: int, reps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``reps`` independent paths advanced in lockstep; shapes (reps, horizon)."""
+    """``reps`` independent paths advanced in lockstep; shapes (reps, horizon).
+
+    The ``_blocks`` stream joined: the arrays are time-major in memory.
+    """
     if horizon < 1 or reps < 1:
         raise ConfigurationError("horizon and reps must be >= 1")
-    pi = stationary_distribution(spec.transition)
-    cum = np.cumsum(spec.transition, axis=1)
-    states = np.empty((reps, horizon), dtype=np.min_scalar_type(spec.n_states - 1))
-    states[:, 0] = rng.choice(spec.n_states, size=reps, p=pi)
-    for t in range(1, horizon):
-        u = rng.random(reps)
-        rows = cum[states[:, t - 1]]
-        states[:, t] = (rows < u[:, None]).sum(axis=1)
-    # Scaled and shifted in place: one (reps, horizon) float array fewer at the peak.
-    scores = rng.standard_normal((reps, horizon))
-    scores *= spec.score_scales[states]
-    scores += spec.score_means[states]
-    return states, scores
+    states = np.empty((horizon, reps), dtype=np.min_scalar_type(spec.n_states - 1))
+    scores = np.empty((horizon, reps))
+    for t0, block_states, block_scores in _blocks(spec, horizon, reps, rng):
+        states[t0 : t0 + len(block_states)] = block_states
+        scores[t0 : t0 + len(block_scores)] = block_scores
+    return states.T, scores.T
 
 
 @dataclass(frozen=True)
@@ -140,21 +169,23 @@ class NormalQuantile:
             raise ConfigurationError(f"scale must be finite and positive, got {self.scale}")
 
 
-def exceedance_levels(qhat: NormalQuantile, scores) -> tuple[np.ndarray, bool]:
+def exceedance_levels(
+    qhat: NormalQuantile, scores, first_step: int = 1
+) -> tuple[np.ndarray, bool]:
     """Per-score levels u, the qhat-CDF of the score, with {score > qhat(p)} = {u > p}.
 
     This turns the per-step error indicator into a single float comparison. The
     comparison is strict, so the flag is always True. A non-finite score raises
     ``DomainError`` naming the first one's (replication, step), 1-based; a row is
-    replication 1.
+    replication 1, and column 0 is step ``first_step`` (a time block of a longer run).
     """
     scores = np.asarray(scores, dtype=float)
     # min and max propagate NaN and reach +-inf without a (reps, horizon) temporary.
     if not (math.isfinite(scores.min(initial=0.0)) and math.isfinite(scores.max(initial=0.0))):
         rows = np.atleast_2d(scores)
         rep, step = np.argwhere(~np.isfinite(rows))[0]
-        raise DomainError(f"scores must be finite; replication {rep + 1}, step {step + 1} "
-                          f"is {rows[rep, step]}")
+        raise DomainError(f"scores must be finite; replication {rep + 1}, "
+                          f"step {first_step + step} is {rows[rep, step]}")
     u = scores - qhat.mean
     u /= qhat.scale
     return ndtr(u, out=u), True
@@ -196,6 +227,8 @@ def estimate_bias_terms(
     ceil(20 / gamma) steps so the (level, state) pair is close to stationarity,
     then averages error bits by state across all replications, and by
     replication across all states. The max estimate is biased upward by noise.
+    One pass over ``_blocks`` simulates, levels and counts each time block in
+    turn, so memory is O(reps * BLOCK) however long the run.
     """
     if reps < 100:
         raise ConfigurationError(f"need at least 100 replications, got {reps}")
@@ -204,31 +237,33 @@ def estimate_bias_terms(
     if config.step_size <= 0.0:
         raise ConfigurationError("stationary runs need a positive step size")
     burn = 20.0 / config.step_size
-    if not 8.0 * reps * (burn + horizon) <= np.iinfo(np.intp).max:  # bytes of one array
+    # Bounds the step count, not an array's size (no array holds a whole run): the
+    # burn-in is finite and every count fits in int64.
+    if not reps * (burn + horizon) <= np.iinfo(np.int64).max:
         raise ConfigurationError(f"a burn-in of 20 / gamma = {burn:g} steps is too long")
     burn = math.ceil(burn)
-    states, scores = simulate_hmm_batch(spec, burn + horizon, reps, rng)
-    # Each float array is (reps, burn + horizon); dropping it once used
-    # lowers peak memory by one such array.
-    levels, strict = exceedance_levels(qhat, scores)
-    del scores
-    _, errs = run_level_batch(config, levels, strict)
-    del levels
-    # Masks stay two-dimensional: flattening the non-contiguous tail views would copy them.
-    tail_states, tail_errs = states[:, burn:], errs[:, burn:]
-    means = np.empty(spec.n_states)
-    for a in range(spec.n_states):
-        mask = tail_states == a
-        if not mask.any():
-            raise DomainError(f"state {a} was never visited; increase reps or horizon")
-        means[a] = tail_errs[mask].mean()
+    n = spec.n_states
+    state_errs, visits, rep_errs = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(reps)
+    carry = (np.full(reps, float(config.initial_level)), 0.0, 0.0)
+    for t0, states, scores in _blocks(spec, burn + horizon, reps, rng):
+        levels, strict = exceedance_levels(qhat, scores.T, first_step=t0 + 1)
+        _, errs, carry = core.run_level_steps(config, levels, strict, carry)
+        tail = max(burn - t0, 0)  # the block's first step after the burn-in, if any
+        tail_states, tail_errs = states[tail:].ravel(), errs.T[tail:]  # time-major
+        state_errs += np.bincount(tail_states, tail_errs.ravel(), n)
+        visits += np.bincount(tail_states, minlength=n)
+        rep_errs += tail_errs.sum(axis=0)
+    if not visits.all():
+        a = int(np.argmin(visits))
+        raise DomainError(f"state {a} was never visited; increase reps or horizon")
+    means = state_errs / visits
     pi = stationary_distribution(spec.transition)
     dev = means - config.target_miscoverage
     return BiasEstimate(
         b_hat=float(np.max(np.abs(dev))),
         sigma_b2_hat=float(np.sum(pi * dev**2)),
         per_state_err_mean=means,
-        per_rep_err_mean=tail_errs.mean(axis=1),
+        per_rep_err_mean=rep_errs / horizon,
     )
 
 

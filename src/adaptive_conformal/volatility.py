@@ -179,24 +179,33 @@ def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float, hessian: bool =
     return 1e12, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3))
 
 
-def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float):
+def _newton_step(x: np.ndarray, returns: np.ndarray, s0: float, grad: np.ndarray):
+    """The Newton step on the Hessian with its eigenvalues made positive."""
+    lam, vec = np.linalg.eigh(_nll_and_grad(x, returns, s0, hessian=True)[3])
+    return np.linalg.lstsq((vec * np.abs(lam)) @ vec.T, -grad, rcond=None)[0]
+
+
+def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float, newton: bool = False):
     """Fisher scoring from ``x``, Newton where it fails: (nll, gradient, x, iterations).
 
     Where the scoring step fails to lower the NLL (short windows, boundary optima), the
-    Newton step on the |eigenvalue| Hessian is halved until it does. It stops when no
-    halving helps, an unhalved step gains under 1e-10 relative, or at ``MAX_ITER``.
+    Newton step on the |eigenvalue| Hessian is halved until it does; with ``newton``
+    every iteration starts from that step. It stops when no halving helps, an
+    unhalved step gains under 1e-10 relative, or at ``MAX_ITER``.
     """
     nll, grad, info, _ = _nll_and_grad(x, returns, s0)
     for it in range(1, MAX_ITER + 1):
-        step = np.linalg.lstsq(info, -grad, rcond=None)[0]  # singular if a weight is 0
-        for halvings in range(42):  # scoring, Newton, then 40 halvings of Newton
+        if newton:
+            step = _newton_step(x, returns, s0, grad)
+        else:
+            step = np.linalg.lstsq(info, -grad, rcond=None)[0]  # singular if a weight is 0
+        for halvings in range(42):  # the first step, then Newton halved (scoring: unhalved)
             trial = _nll_and_grad(x + step, returns, s0)
             if trial[0] < nll:
                 break
             step = step / 2.0
-            if halvings == 0:
-                lam, vec = np.linalg.eigh(_nll_and_grad(x, returns, s0, hessian=True)[3])
-                step = np.linalg.lstsq((vec * np.abs(lam)) @ vec.T, -grad, rcond=None)[0]
+            if halvings == 0 and not newton:
+                step = _newton_step(x, returns, s0, grad)
         else:
             return nll, grad, x, it
         x, gain = x + step, nll - trial[0]
@@ -204,6 +213,25 @@ def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float):
         if halvings <= 1 and gain < 1e-10 * max(1.0, abs(nll)):
             return nll, grad, x, it
     return nll, grad, x, MAX_ITER
+
+
+def _assess(run, returns: np.ndarray, sample_var: float, iterations: int):
+    """(fit, None) for a search that passes ``fit_garch``'s test, else (fit, why it fails)."""
+    nll, grad, x, _ = run
+    omega, a, b = _unpack(x)
+    if a + b >= 1.0 - 1e-10:  # float rounding at the simplex boundary
+        shrink = (1.0 - 1e-10) / (a + b)
+        a, b = a * shrink, b * shrink
+    params = GarchParams(omega, a, b)
+    fit = GarchFit(params, garch_sigma2_path(params, returns, sample_var), float(nll), iterations)
+    scale = max(1.0, abs(fit.neg_loglik))
+    gradient = float(np.max(np.abs(grad))) / scale
+    omega_gain = -grad[0] / omega * sample_var / scale
+    if gradient > GRADIENT_TOL or omega_gain > OMEGA_GAIN_TOL:
+        return fit, (f"scaled gradient norm {gradient:.3g} (limit {GRADIENT_TOL:g}), "
+                     f"gain {omega_gain:.3g} from raising omega = {omega:.3g} "
+                     f"(limit {OMEGA_GAIN_TOL:g})")
+    return fit, None
 
 
 def fit_garch(returns) -> GarchFit:
@@ -214,8 +242,11 @@ def fit_garch(returns) -> GarchFit:
     at most ``GRADIENT_TOL`` and gain at most ``OMEGA_GAIN_TOL`` from raising
     omega (``-dnll/domega * var(r) / max(1, |nll|)``). That test is one-sided:
     it rejects a search stalled at omega -> 0, where the log-omega gradient
-    vanishes, and keeps an optimum that truly lies there. Else it raises
-    ``ConvergenceError`` carrying the fit. Deterministic.
+    vanishes, and keeps an optimum that truly lies there. A best optimum that
+    fails it gets one more search, Newton from the first step, from the same
+    point with omega raised to at least the sample variance; scoring can stall
+    at omega -> 0 or zigzag along a flat ridge where Newton converges. If that
+    fails too, it raises ``ConvergenceError`` carrying the first fit. Deterministic.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.size < MIN_FIT_LENGTH:
@@ -226,22 +257,18 @@ def fit_garch(returns) -> GarchFit:
 
     runs = [_fisher_scoring(_pack(sample_var * (1.0 - a0 - b0), a0, b0), returns, sample_var)
             for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]]
-    nll, grad, x, _ = min(runs, key=lambda run: run[0])
-    omega, a, b = _unpack(x)
-    if a + b >= 1.0 - 1e-10:  # float rounding at the simplex boundary
-        shrink = (1.0 - 1e-10) / (a + b)
-        a, b = a * shrink, b * shrink
-    params = GarchParams(omega, a, b)
-    fit = GarchFit(params, garch_sigma2_path(params, returns, sample_var), float(nll),
-                   sum(run[3] for run in runs))
-    scale = max(1.0, abs(fit.neg_loglik))
-    gradient = float(np.max(np.abs(grad))) / scale
-    omega_gain = -grad[0] / omega * sample_var / scale
-    if gradient > GRADIENT_TOL or omega_gain > OMEGA_GAIN_TOL:
-        raise ConvergenceError(f"scaled gradient norm {gradient:.3g} (limit {GRADIENT_TOL:g}), "
-                               f"gain {omega_gain:.3g} from raising omega = {omega:.3g} "
-                               f"(limit {OMEGA_GAIN_TOL:g})", best=fit)
-    return fit
+    best = min(runs, key=lambda run: run[0])
+    iterations = sum(run[3] for run in runs)
+    fit, failure = _assess(best, returns, sample_var, iterations)
+    if failure is None:
+        return fit
+    w, u, v = best[2]
+    start = np.array([max(w, math.log(sample_var)), u, v])
+    rescue = _fisher_scoring(start, returns, sample_var, True)  # Newton from the start
+    rescued, rescue_failure = _assess(rescue, returns, sample_var, iterations + rescue[3])
+    if rescue_failure is None:
+        return rescued
+    raise ConvergenceError(failure, best=fit)
 
 
 def simulate_garch_returns(

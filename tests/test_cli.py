@@ -109,7 +109,7 @@ class TestExitCodes:
         def no_simulation(*args):
             raise AssertionError("simulated a run whose bounds cannot be evaluated")
 
-        monkeypatch.setattr(hmm, "simulate_hmm_batch", no_simulation)
+        monkeypatch.setattr(hmm, "_blocks", no_simulation)
         assert run(["simulate", "--horizon", "200", "--reps", "100", flag, "inf",
                     "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
@@ -159,7 +159,7 @@ class TestExitCodes:
         def no_simulation(*args):
             raise AssertionError("simulated a run with horizon < 1")
 
-        monkeypatch.setattr(hmm, "simulate_hmm_batch", no_simulation)
+        monkeypatch.setattr(hmm, "_blocks", no_simulation)
         assert run(["simulate", "--horizon", horizon, "--reps", "100",
                     "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -168,12 +168,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("gamma", ["1e-300", "5e-324"])
     def test_tiny_step_size_fails_before_simulating(self, tmp_path, capsys, monkeypatch, gamma):
         def no_simulation(*args):
-            raise AssertionError("simulated a run whose burn-in cannot be allocated")
+            raise AssertionError("simulated a run whose burn-in is too long")
 
-        monkeypatch.setattr(hmm, "simulate_hmm_batch", no_simulation)
+        monkeypatch.setattr(hmm, "_blocks", no_simulation)
         assert run(["simulate", "--gamma", gamma, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: a burn-in of 20 / gamma") and err.count("\n") == 1
+
+    def test_overflowing_scores_fail_on_one_line_naming_their_position(self, tmp_path, capsys):
+        assert run(["simulate", "--scales", "1e308,1", "--horizon", "50", "--reps", "100",
+                    "--gamma", "0.5", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scores must be finite; replication ")
+        assert err.count("\n") == 1
+        rep, step = map(int, re.search(r"replication (\d+), step (\d+) is", err).groups())
+        # The step counts the burn-in of 20 / gamma = 40 steps.
+        spec = hmm.HmmSpec(hmm.symmetric_chain(2, 0.95), np.zeros(2), np.array([1e308, 1.0]))
+        _, scores = hmm.simulate_hmm_batch(spec, 40 + 50, 100, np.random.default_rng(0))
+        assert not np.isfinite(scores[rep - 1, step - 1])
 
     def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -257,6 +269,13 @@ class TestVolatilityCommand:
         summary = json.loads((out_w / "summary.json").read_text())
         assert summary["prop_bound_value"] is None
         assert summary["prop_bound_satisfied"] is None
+
+    @pytest.mark.parametrize("seed", ["0", "2", "5"])
+    def test_short_window_refits_converge(self, tmp_path, seed):
+        # Each seed has a 100-return window where scoring alone stalls at omega -> 0
+        # (seeds 0 and 2) or zigzags along a flat ridge (seed 5).
+        assert run(["volatility", "--synthetic", "400", "--window", "100", "--seed", seed,
+                    "--out", str(tmp_path / "out")]) == 0
 
 
 class TestElectionCommand:

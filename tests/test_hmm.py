@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from adaptive_conformal.errors import (
     NonReversibleChainError,
 )
 from adaptive_conformal.hmm import (
+    BLOCK,
     BiasEstimate,
     HmmSpec,
     NormalQuantile,
@@ -379,6 +382,60 @@ class TestBiasEstimation:
         a = estimate_bias_terms(spec, NormalQuantile(), cfg, rng=np.random.default_rng(9), **kw)
         b = estimate_bias_terms(spec, NormalQuantile(), cfg, rng=np.random.default_rng(9), **kw)
         assert a.b_hat == b.b_hat and a.sigma_b2_hat == b.sigma_b2_hat
+
+    @pytest.mark.parametrize("spec,cfg,horizon", [
+        pytest.param(two_state_spec(), AciConfig(0.1, 0.03), 700, id="unaligned-blocks"),
+        pytest.param(two_state_spec(), AciConfig(0.1, 0.05), 100, id="horizon-below-block"),
+        pytest.param(HmmSpec(np.array([[1.0]]), np.array([0.3]), np.array([1.5])),
+                     AciConfig(0.2, 0.04), 777, id="one-state"),
+        pytest.param(HmmSpec(symmetric_chain(3, 0.9), np.array([0.0, 0.3, -0.2]),
+                             np.array([1.0, 2.0, 0.5])),
+                     AciConfig(0.1, 0.03, update_rule="weighted", decay=0.9), 700,
+                     id="weighted-three-state"),
+    ])
+    def test_equals_the_whole_run_composition(self, spec, cfg, horizon):
+        # The block stream must reproduce, bit for bit, whole-run arrays from the
+        # same draws run through the public batch API and averaged under tail masks.
+        burn = math.ceil(20.0 / cfg.step_size)
+        assert burn % BLOCK and (burn + horizon) % BLOCK
+        reps, qhat = 100, NormalQuantile(0.1, 1.2)
+        est = estimate_bias_terms(spec, qhat, cfg, reps, np.random.default_rng(17), horizon)
+        states, scores = simulate_hmm_batch(spec, burn + horizon, reps, np.random.default_rng(17))
+        levels, strict = exceedance_levels(qhat, scores)
+        _, errs = run_level_batch(cfg, levels, strict)
+        tail_states, tail_errs = states[:, burn:], errs[:, burn:]
+        means = np.array([tail_errs[tail_states == a].mean() for a in range(spec.n_states)])
+        dev = means - cfg.target_miscoverage
+        assert np.array_equal(est.per_state_err_mean, means)
+        assert np.array_equal(est.per_rep_err_mean, tail_errs.mean(axis=1))
+        assert est.b_hat == float(np.max(np.abs(dev)))
+        assert est.sigma_b2_hat == float(np.sum(stationary_distribution(spec.transition)
+                                                * dev**2))
+
+    def test_peak_memory_is_below_half_of_one_whole_run_array(self):
+        reps, cfg, horizon = 200, AciConfig(0.1, 0.005), 6000  # burn-in 4000: 10,000 steps
+        whole_run = 8 * reps * (math.ceil(20.0 / cfg.step_size) + horizon)  # 15.3 MiB
+        tracemalloc.start()
+        try:
+            estimate_bias_terms(two_state_spec(), NormalQuantile(), cfg, reps,
+                                np.random.default_rng(1), horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_run / 2
+
+    def test_overflowing_score_names_its_absolute_position(self):
+        # State 0 is rare and its scores overflow. With seed 0 the first one falls
+        # past the first time block, so a block-relative step would be caught.
+        spec = HmmSpec(np.array([[0.5, 0.5], [2e-6, 1.0 - 2e-6]]), np.array([1.7e308, 0.0]),
+                       np.array([1e308, 1.0]))
+        cfg = AciConfig(0.1, 0.02)
+        with pytest.raises(DomainError, match="is inf$") as err:
+            estimate_bias_terms(spec, NormalQuantile(), cfg, 100, np.random.default_rng(0), 3000)
+        rep, step = map(int, re.search(r"replication (\d+), step (\d+)", str(err.value)).groups())
+        assert step > BLOCK
+        _, scores = simulate_hmm_batch(spec, 1000 + 3000, 100, np.random.default_rng(0))
+        assert not np.isfinite(scores[rep - 1, step - 1])
 
 
 class TestBoundEvaluators:
