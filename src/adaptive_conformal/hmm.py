@@ -186,8 +186,9 @@ def exceedance_levels(
         rep, step = np.argwhere(~np.isfinite(rows))[0]
         raise DomainError(f"scores must be finite; replication {rep + 1}, "
                           f"step {first_step + step} is {rows[rep, step]}")
-    u = scores - qhat.mean
-    u /= qhat.scale
+    with np.errstate(over="ignore"):  # an overflow to +-inf has level 1 or 0, as it should
+        u = scores - qhat.mean
+        u /= qhat.scale
     return ndtr(u, out=u), True
 
 

@@ -38,6 +38,8 @@ MIN_FIT_LENGTH = 30
 GRADIENT_TOL = 1e-5
 OMEGA_GAIN_TOL = 1e-3
 MAX_ITER = 500
+WARM_FLOOR = 1e-3  # least a, b and 1 - a - b of a warm start
+WARM_MIN_LENGTH = 1000  # fewest returns a warm start is used on
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,7 @@ class GarchFit:
     sigma2_path: np.ndarray
     neg_loglik: float
     iterations: int  # search iterations (scoring or Newton) over all starting points
+    warm: bool = False  # the search from the given start passed; no cold starts ran
 
 
 def returns_from_prices(prices) -> np.ndarray:
@@ -179,10 +182,20 @@ def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float, hessian: bool =
     return 1e12, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3))
 
 
-def _newton_step(x: np.ndarray, returns: np.ndarray, s0: float, grad: np.ndarray):
+def _newton_step(hess: np.ndarray, grad: np.ndarray):
     """The Newton step on the Hessian with its eigenvalues made positive."""
-    lam, vec = np.linalg.eigh(_nll_and_grad(x, returns, s0, hessian=True)[3])
+    lam, vec = np.linalg.eigh(hess)
     return np.linalg.lstsq((vec * np.abs(lam)) @ vec.T, -grad, rcond=None)[0]
+
+
+def _evaluate(x: np.ndarray, returns: np.ndarray, s0: float, newton: bool):
+    """``_nll_and_grad`` at ``x``, with the Hessian if ``newton``. Where only the Hessian
+    overflows, the point keeps its NLL and gradient with a zero Hessian (no Newton step).
+    """
+    out = _nll_and_grad(x, returns, s0, hessian=newton)
+    if newton and out[0] == 1e12:
+        return *_nll_and_grad(x, returns, s0)[:3], np.zeros((3, 3))
+    return out
 
 
 def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float, newton: bool = False):
@@ -190,29 +203,46 @@ def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float, newton: bool 
 
     Where the scoring step fails to lower the NLL (short windows, boundary optima), the
     Newton step on the |eigenvalue| Hessian is halved until it does; with ``newton``
-    every iteration starts from that step. It stops when no halving helps, an
-    unhalved step gains under 1e-10 relative, or at ``MAX_ITER``.
+    every iteration starts from that step, and each point is evaluated with its
+    Hessian. It stops when no halving helps, an unhalved step gains under 1e-10
+    relative, or at ``MAX_ITER``.
     """
-    nll, grad, info, _ = _nll_and_grad(x, returns, s0)
+    nll, grad, info, hess = _evaluate(x, returns, s0, newton)
     for it in range(1, MAX_ITER + 1):
         if newton:
-            step = _newton_step(x, returns, s0, grad)
+            step = _newton_step(hess, grad)
         else:
             step = np.linalg.lstsq(info, -grad, rcond=None)[0]  # singular if a weight is 0
         for halvings in range(42):  # the first step, then Newton halved (scoring: unhalved)
-            trial = _nll_and_grad(x + step, returns, s0)
+            trial = _evaluate(x + step, returns, s0, newton)
             if trial[0] < nll:
                 break
             step = step / 2.0
             if halvings == 0 and not newton:
-                step = _newton_step(x, returns, s0, grad)
+                step = _newton_step(_nll_and_grad(x, returns, s0, hessian=True)[3], grad)
         else:
             return nll, grad, x, it
         x, gain = x + step, nll - trial[0]
-        nll, grad, info, _ = trial
+        nll, grad, info, hess = trial
         if halvings <= 1 and gain < 1e-10 * max(1.0, abs(nll)):
             return nll, grad, x, it
     return nll, grad, x, MAX_ITER
+
+
+def _warm_start(params: GarchParams, sample_var: float) -> np.ndarray:
+    """Search coordinates of ``params`` with a, b and 1 - a - b at least ``WARM_FLOOR``.
+
+    At a weight near 0 the softmax gradient vanishes with the weight, so a search
+    started there stays there even where the likelihood rises inward. A start the
+    floor moves takes omega = ``sample_var`` * (1 - a - b), as the cold starts do:
+    its own omega with the new weights can put its variance level far off the
+    window's and drive the search into another such corner.
+    """
+    a, b = max(params.arch_coef, WARM_FLOOR), max(params.garch_coef, WARM_FLOOR)
+    shrink = min(1.0, (1.0 - WARM_FLOOR) / (a + b))
+    a, b = a * shrink, b * shrink
+    moved = (a, b) != (params.arch_coef, params.garch_coef)
+    return _pack(sample_var * (1.0 - a - b) if moved else params.omega, a, b)
 
 
 def _assess(run, returns: np.ndarray, sample_var: float, iterations: int):
@@ -234,8 +264,30 @@ def _assess(run, returns: np.ndarray, sample_var: float, iterations: int):
     return fit, None
 
 
-def fit_garch(returns) -> GarchFit:
-    """Maximum-likelihood GARCH(1,1) fit: ``_fisher_scoring`` from three starts.
+def _weight_stalled(fit: GarchFit, returns: np.ndarray, sample_var: float) -> bool:
+    """Whether raising a, b or 1 - a - b gains over ``OMEGA_GAIN_TOL`` * max(1, |nll|)
+    per unit of that weight: a search stopped where ``_assess`` cannot see, because
+    the softmax gradient vanishes with the weight. Read at ``fit.params``, whose
+    1 - a - b is at least 1e-10; a weight of exactly 0 counts as stalled.
+    """
+    omega, a, b = astuple(fit.params)
+    if min(a, b) == 0.0:
+        return True
+    _, grad, _, _ = _nll_and_grad(_pack(omega, a, b), returns, sample_var)
+    limit = OMEGA_GAIN_TOL * max(1.0, abs(fit.neg_loglik))
+    return -grad[1] > limit * a or -grad[2] > limit * b or grad[1] + grad[2] > limit * (1 - a - b)
+
+
+def fit_garch(returns, start: GarchParams | None = None) -> GarchFit:
+    """Maximum-likelihood GARCH(1,1) fit: ``_fisher_scoring`` from ``start`` or three starts.
+
+    Given ``start`` (say, the fit of an overlapping window) and at least
+    ``WARM_MIN_LENGTH`` returns, one search, Newton from the first step, runs
+    from it with its weights pulled into the interior (``_warm_start``). If
+    that passes the test below, and raising no weight gains
+    (``_weight_stalled``), it is the fit (``warm`` is True). Otherwise the
+    three cold starts run. Shorter windows' likelihoods have several local
+    optima, and a warm search can stay in one that the cold starts leave.
 
     Each search runs at most ``MAX_ITER`` iterations, read at call time.
     The best optimum must have a scaled gradient norm (search coordinates) of
@@ -255,16 +307,23 @@ def fit_garch(returns) -> GarchFit:
     if sample_var < SIGMA2_FLOOR:
         raise DegenerateDataError("returns have (numerically) zero variance")
 
+    iterations = 0
+    if start is not None and returns.size >= WARM_MIN_LENGTH:
+        run = _fisher_scoring(_warm_start(start, sample_var), returns, sample_var, True)
+        fit, failure = _assess(run, returns, sample_var, run[3])
+        if failure is None and not _weight_stalled(fit, returns, sample_var):
+            return replace(fit, warm=True)
+        iterations = run[3]
     runs = [_fisher_scoring(_pack(sample_var * (1.0 - a0 - b0), a0, b0), returns, sample_var)
             for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]]
     best = min(runs, key=lambda run: run[0])
-    iterations = sum(run[3] for run in runs)
+    iterations += sum(run[3] for run in runs)
     fit, failure = _assess(best, returns, sample_var, iterations)
     if failure is None:
         return fit
     w, u, v = best[2]
-    start = np.array([max(w, math.log(sample_var)), u, v])
-    rescue = _fisher_scoring(start, returns, sample_var, True)  # Newton from the start
+    lifted = np.array([max(w, math.log(sample_var)), u, v])
+    rescue = _fisher_scoring(lifted, returns, sample_var, True)  # Newton from the start
     rescued, rescue_failure = _assess(rescue, returns, sample_var, iterations + rescue[3])
     if rescue_failure is None:
         return rescued
@@ -350,7 +409,8 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
 
     Step ``k`` predicts return ``window + k``. The trailing ``window``
     returns are (re)fit every ``refit_every`` steps and the variance forecast
-    ``sigma2[k]`` is rolled forward every step. ``history`` holds the first
+    ``sigma2[k]`` is rolled forward every step; each refit after the first
+    starts from the fit before it. ``history`` holds the first
     fit's in-sample scores followed by one score per step, so the
     calibration window of step ``k`` is ``history[k : k + window]``. Nothing
     here depends on the adaptive level, so one stream can be replayed under
@@ -372,21 +432,24 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
     # The first fit's in-sample path, then one forecast per step: each refit
     # filters its segment forward from the last in-sample variance.
     fitted = np.empty(n)
+    start = None
     for t in range(window, n, refit_every):
         stop = min(t + refit_every, n)
         try:
-            fit = fit_garch(rets[t - window : t])
+            fit = fit_garch(rets[t - window : t], start)
             path = garch_sigma2_path(fit.params, rets[t - 1 : stop], fit.sigma2_path[-1])
         except (ConvergenceError, DegenerateDataError, DomainError) as exc:
             done = t if t > window else 0  # a failed first refit leaves nothing scored
             prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
             raise ExperimentAborted(f"GARCH refit failed at step {t - window}: {exc}",
                                     prefix) from exc
-        logger.info("refit at step %d: omega=%.6g a=%.6g b=%.6g nll=%.6f iterations=%d",
-                    t - window, *astuple(fit.params), fit.neg_loglik, fit.iterations)
+        logger.info("refit at step %d: start=%s omega=%.6g a=%.6g b=%.6g nll=%.6f "
+                    "iterations=%d", t - window, "warm" if fit.warm else "cold",
+                    *astuple(fit.params), fit.neg_loglik, fit.iterations)
         if t == window:
             fitted[:window] = fit.sigma2_path
         fitted[t:stop] = path[1:]
+        start = fit.params
     return fitted[window:], NormalizedScore(fitted).score(vol)
 
 

@@ -187,6 +187,14 @@ class TestExitCodes:
         _, scores = hmm.simulate_hmm_batch(spec, 40 + 50, 100, np.random.default_rng(0))
         assert not np.isfinite(scores[rep - 1, step - 1])
 
+    @pytest.mark.parametrize("flags", [["--qhat-scale", "1e-308"],
+                                       ["--means", "1e308,0", "--qhat-mean=-1e308"]])
+    def test_overflowing_score_levels_run_silently(self, tmp_path, capsys, flags):
+        # (score - mean) / scale overflows to +-inf, whose normal CDF is 1 or 0.
+        assert run(["simulate", *flags, "--horizon", "50", "--reps", "100", "--gamma", "0.5",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 3.58 TiB for an array")

@@ -18,6 +18,7 @@ from adaptive_conformal.errors import (
     NoDataError,
 )
 from adaptive_conformal.volatility import (
+    WARM_MIN_LENGTH,
     GarchFit,
     GarchParams,
     _nll_and_grad,
@@ -253,6 +254,60 @@ class TestFit:
                        for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)])
             assert fit_garch(window).neg_loglik <= best + 1e-6
 
+    @staticmethod
+    def _regime_returns():
+        return returns_from_prices(default_regime_prices(2600, np.random.default_rng(201)))
+
+    def test_warm_chain_matches_cold_fits(self):
+        # The windows of test_matches_the_best_of_three_bfgs_runs, each fit
+        # started from the one before it.
+        rets = self._regime_returns()
+        windows = [rets[t - 2000 : t] for t in range(2000, 2600, 100)] + [rets[590:2590]]
+        fit = None
+        for window in windows:
+            fit = fit_garch(window, None if fit is None else fit.params)
+            assert fit.neg_loglik <= fit_garch(window).neg_loglik + 1e-6
+
+    # A start on the boundary of the simplex: a = 0, b = 0, or a = 1e-9 with
+    # 1 - a - b = 3e-9. From there alone a search ends 262-588 nats worse.
+    BOUNDARY_STARTS = [lambda p: (1e-12, p.garch_coef), lambda p: (p.arch_coef, 1e-12),
+                       lambda p: (1e-9, 1.0 - 1e-9 - 3e-9)]
+
+    @pytest.mark.parametrize("t", [2300, 2590])
+    @pytest.mark.parametrize("start", range(3))
+    def test_boundary_start_is_pulled_inside(self, t, start):
+        window = self._regime_returns()[t - 2000 : t]
+        cold = fit_garch(window)
+        ab = self.BOUNDARY_STARTS[start](cold.params)
+        fit = fit_garch(window, GarchParams(cold.params.omega, *ab))
+        assert fit.warm and fit.neg_loglik <= cold.neg_loglik + 1e-6
+
+    @pytest.mark.parametrize("t", [2300, 2590])
+    @pytest.mark.parametrize("start", range(3))
+    def test_warm_search_stalled_on_the_boundary_falls_back_to_cold(self, monkeypatch, t,
+                                                                     start):
+        # Unfloored, the warm search stalls where a weight's softmax gradient
+        # vanishes: hundreds of nats worse, yet it passes _assess.
+        window = self._regime_returns()[t - 2000 : t]
+        cold = fit_garch(window)
+        a, b = self.BOUNDARY_STARTS[start](cold.params)
+        s0 = float(np.var(window))
+        raw = _pack(s0 * (1.0 - a - b), a, b)
+        stalled, failure = volatility._assess(volatility._fisher_scoring(raw, window, s0, True),
+                                              window, s0, 0)
+        assert failure is None and stalled.neg_loglik > cold.neg_loglik + 100
+        monkeypatch.setattr(volatility, "_warm_start", lambda params, var: raw)
+        fit = fit_garch(window, GarchParams(cold.params.omega, a, b))
+        assert not fit.warm and fit.neg_loglik == cold.neg_loglik
+        assert fit.iterations > cold.iterations
+
+    def test_short_window_ignores_the_start(self):
+        # On 250 returns a warm chain ended up to 5 nats worse than cold fits.
+        window = self._regime_returns()[:WARM_MIN_LENGTH - 1]
+        cold = fit_garch(window)
+        fit = fit_garch(window, GarchParams(cold.params.omega, 0.3, 0.3))
+        assert not fit.warm and fit.params == cold.params
+
     def test_fit_never_calls_scipy_minimize(self, monkeypatch):
         def no_minimize(*args, **kwargs):
             raise AssertionError("fit_garch called volatility.minimize")
@@ -381,6 +436,29 @@ class TestExperiment:
             f"refit at step {k}" for k in (0, 45, 90, 135)]
         assert all("omega=" in line and "nll=" in line and " iterations=" in line
                    for line in lines)
+        # Windows shorter than WARM_MIN_LENGTH are always fit cold.
+        assert [line.split()[4] for line in lines] == ["start=cold"] * 4
+
+    @pytest.mark.parametrize("rejected", [False, True])
+    def test_warm_refits_are_logged_and_rejected_ones_give_the_cold_stream(
+            self, monkeypatch, caplog, rejected):
+        rets = returns_from_prices(default_regime_prices(2600, np.random.default_rng(201)))
+        window, refit_every = 2000, 250
+        if rejected:
+            monkeypatch.setattr(volatility, "_weight_stalled", lambda *args: True)
+        with caplog.at_level(logging.INFO, logger="adaptive_conformal.volatility"):
+            sigma2, _ = forecast_stream(rets, window, refit_every)
+        starts = [r.getMessage().split()[4] for r in caplog.records]
+        assert starts == ["start=cold"] + ["start=cold" if rejected else "start=warm"] * 2
+        # Reference: cold fits, or each fit started from the one before it.
+        fits = []
+        for t in range(window, rets.size, refit_every):
+            start = None if rejected or not fits else fits[-1].params
+            fits.append(fit_garch(rets[t - window : t], start))
+        expected = [garch_sigma2_path(fit.params, rets[t - 1 : t + refit_every],
+                                      fit.sigma2_path[-1])[1:]
+                    for fit, t in zip(fits, range(window, rets.size, refit_every))]
+        np.testing.assert_array_equal(sigma2, np.concatenate(expected)[: sigma2.size])
 
     def test_stream_replay_matches_direct_run(self):
         prices = self._prices(260, seed=43)
@@ -390,16 +468,16 @@ class TestExperiment:
             assert replay_forecast_stream(*stream, config) == direct
 
     def test_stream_matches_per_step_forecast_loop(self):
-        # Reference: each refit's last in-sample variance rolled forward one
-        # forecast_next_sigma2 call per step.
+        # Reference: each refit, started from the one before it, has its last
+        # in-sample variance rolled forward one forecast_next_sigma2 call per step.
         rets = returns_from_prices(self._prices(200, seed=47))
         window, refit_every = 60, 45
         sigma2, _ = forecast_stream(rets, window, refit_every)
-        expected = []
+        expected, fit = [], None
         for step in range(rets.size - window):
             t = window + step
             if step % refit_every == 0:
-                fit = fit_garch(rets[t - window : t])
+                fit = fit_garch(rets[t - window : t], None if fit is None else fit.params)
                 s = fit.sigma2_path[-1]
             s = forecast_next_sigma2(fit.params, rets[t - 1] ** 2, s)
             expected.append(s)
