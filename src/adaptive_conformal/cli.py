@@ -22,8 +22,6 @@ import numpy as np
 from . import core, election, hmm, io, metrics, volatility
 from .errors import AdaptiveConformalError, ConfigurationError
 
-logger = logging.getLogger(__name__)
-
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 

@@ -36,10 +36,12 @@ logger = logging.getLogger(__name__)
 SIGMA2_FLOOR = 1e-12
 MIN_FIT_LENGTH = 30
 GRADIENT_TOL = 1e-5
-OMEGA_GAIN_TOL = 1e-3
 MAX_ITER = 500
-WARM_FLOOR = 1e-3  # least a, b and 1 - a - b of a warm start
 WARM_MIN_LENGTH = 1000  # fewest returns a warm start is used on
+AB_MAX = 1.0 - 1e-10  # largest a + b of a fit
+COLD_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.20, 0.40))  # (a, b); omega from var(r)
+#: Inward normals of the faces omega >= SIGMA2_FLOOR, a >= 0, b >= 0, a + b <= AB_MAX.
+FACES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class GarchFit:
     params: GarchParams
     sigma2_path: np.ndarray
     neg_loglik: float
-    iterations: int  # search iterations (scoring or Newton) over all starting points
+    iterations: int  # projected Newton steps over all starting points
     warm: bool = False  # the search from the given start passed; no cold starts ran
 
 
@@ -138,48 +140,55 @@ def forecast_next_sigma2(params: GarchParams, v_prev: float, sigma2_prev: float)
     return params.omega + params.arch_coef * v_prev + params.garch_coef * sigma2_prev
 
 
-def _unpack(x: np.ndarray) -> tuple[float, float, float]:
-    """Map unconstrained coordinates onto (omega > 0, a, b on the open simplex)."""
-    w, u, v = x
-    shift = max(0.0, u, v)  # stable softmax of (0, u, v)
-    z0, zu, zv = math.exp(-shift), math.exp(u - shift), math.exp(v - shift)
-    denom = z0 + zu + zv
-    omega = math.exp(w) if w < 700.0 else math.inf
-    return omega, zu / denom, zv / denom
+def _derivatives(y: np.ndarray, returns: np.ndarray, s0: float):
+    """(nll, gradient, Hessian) at ``y`` = (omega / s0, a, b).
 
-
-def _pack(omega: float, a: float, b: float) -> np.ndarray:
-    rest = 1.0 - a - b
-    return np.array([math.log(omega), math.log(a / rest), math.log(b / rest)])
-
-
-def _nll_and_grad(x: np.ndarray, returns: np.ndarray, s0: float, hessian: bool = False):
-    """(nll, gradient, expected information, Hessian if asked) at unconstrained ``x``.
-
-    d sigma2_t / d(omega, a, b) filters the rows (1, r_{t-1}^2, sigma2_{t-1}); the only
-    nonzero d2 sigma2_t / db d. filter those a step late (Fiorentini et al. 1996). The
-    information is 0.5 * sum(d sigma2 d sigma2^T / sigma2^2). A degenerate path, or
-    derivatives that overflow (``lstsq`` hangs on inf), score 1e12 with zeros.
+    d sigma2_t / dy filters the rows (s0, r_{t-1}^2, sigma2_{t-1}); the only nonzero
+    d2 sigma2_t / db dy filter those a step late (Fiorentini et al. 1996). A degenerate
+    path, or derivatives that overflow (``lstsq`` hangs on inf), score 1e12 with zeros.
     """
-    omega, a, b = _unpack(x)
-    path = _sigma2_path(omega, a, b, returns, s0) if 0.0 < omega < math.inf else None
-    if path is not None:
-        drive = np.stack([np.ones(returns.size - 1), returns[:-1] ** 2, path[:-1]])
-        dpath = lfilter([1.0], [1.0, -b], drive, axis=1)
-        rel, z2 = dpath / path[1:], returns[1:] ** 2 / path[1:]
-        jac = np.array([[omega, 0.0, 0.0],  # symmetric: (a, b) is a softmax of (u, v)
-                        [0.0, a * (1.0 - a), -a * b], [0.0, -a * b, b * (1.0 - b)]])
-        grad = jac @ (rel @ (0.5 * (1.0 - z2)))
-        info, hess = jac @ (0.5 * rel @ rel.T) @ jac, None
-        if hessian:
+    b = y[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # scored by the isfinite tests
+        path = _sigma2_path(s0 * y[0], y[1], b, returns, s0)
+        if path is not None:
+            drive = np.stack([np.full(returns.size - 1, s0), returns[:-1] ** 2, path[:-1]])
+            dpath = lfilter([1.0], [1.0, -b], drive, axis=1)
+            rel, z2 = dpath / path[1:], returns[1:] ** 2 / path[1:]
+            grad = rel @ (0.5 * (1.0 - z2))
             late = lfilter([0.0, 1.0], [1.0, -b], dpath, axis=1)  # b row: half d2 / db2
             tail = np.outer([0.0, 0.0, 1.0], late @ (0.5 * (1.0 - z2) / path[1:]))
-            curv = np.diag(grad)  # the gradient through the curvature of exp and the softmax
-            curv[1:, 1:] -= np.outer([a, b], grad[1:]) + np.outer(grad[1:], [a, b])
-            hess = jac @ ((rel * (z2 - 0.5)) @ rel.T + tail + tail.T) @ jac + curv
-        if all(np.isfinite(m).all() for m in (grad, info, hess) if m is not None):
-            return _gaussian_nll(path, returns), grad, info, hess
-    return 1e12, np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3))
+            hess = (rel * (z2 - 0.5)) @ rel.T + tail + tail.T
+            if np.isfinite(grad).all() and np.isfinite(hess).all():
+                return _gaussian_nll(path, returns), grad, hess
+    return 1e12, np.zeros(3), np.zeros((3, 3))
+
+
+def _project(y: np.ndarray, s0: float) -> np.ndarray:
+    """The nearest feasible point: omega clipped, then (a, b) onto the triangle."""
+    a, b = max(y[1], 0.0), max(y[2], 0.0)
+    if a + b > AB_MAX:  # then the nearest point lies on the edge a + b = AB_MAX
+        a = min(max((y[1] - y[2] + AB_MAX) / 2.0, 0.0), AB_MAX)
+        b = AB_MAX - a
+    return np.array([max(y[0], SIGMA2_FLOOR / s0), a, b])
+
+
+def _kkt(y: np.ndarray, nll: float, grad: np.ndarray, s0: float):
+    """(orthonormal basis of the free moves, KKT gap) at ``y``.
+
+    The active constraints are those ``y`` sits on whose least-squares multipliers in
+    grad = sum(lambda_i * inward normal_i) are all positive; the most negative one is
+    released first. The gap is the largest coordinate of the gradient's part along
+    the free moves over max(1, |nll|).
+    """
+    slack = FACES @ y - [SIGMA2_FLOOR / s0, 0.0, 0.0, -AB_MAX]
+    active = list(np.flatnonzero(slack <= 1e-12))
+    while active:
+        lam = np.linalg.lstsq(FACES[active].T, grad, rcond=None)[0]
+        if lam.min() > 0.0:
+            break
+        del active[int(np.argmin(lam))]
+    free = np.linalg.qr(FACES[active].T, mode="complete")[0][:, len(active):]
+    return free, float(np.max(np.abs(free @ (free.T @ grad)))) / max(1.0, abs(nll))
 
 
 def _newton_step(hess: np.ndarray, grad: np.ndarray):
@@ -188,117 +197,57 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray):
     return np.linalg.lstsq((vec * np.abs(lam)) @ vec.T, -grad, rcond=None)[0]
 
 
-def _evaluate(x: np.ndarray, returns: np.ndarray, s0: float, newton: bool):
-    """``_nll_and_grad`` at ``x``, with the Hessian if ``newton``. Where only the Hessian
-    overflows, the point keeps its NLL and gradient with a zero Hessian (no Newton step).
+def _search(y: np.ndarray, returns: np.ndarray, s0: float):
+    """Projected Newton search from ``y`` (Bertsekas 1982): (nll, gradient, y, iterations).
+
+    Each iteration takes the Newton step on the free moves, projects it onto the
+    feasible set and halves it until the NLL falls. It stops at a KKT gap of at most
+    ``GRADIENT_TOL``, where no halving helps, or after ``MAX_ITER`` steps.
     """
-    out = _nll_and_grad(x, returns, s0, hessian=newton)
-    if newton and out[0] == 1e12:
-        return *_nll_and_grad(x, returns, s0)[:3], np.zeros((3, 3))
-    return out
-
-
-def _fisher_scoring(x: np.ndarray, returns: np.ndarray, s0: float, newton: bool = False):
-    """Fisher scoring from ``x``, Newton where it fails: (nll, gradient, x, iterations).
-
-    Where the scoring step fails to lower the NLL (short windows, boundary optima), the
-    Newton step on the |eigenvalue| Hessian is halved until it does; with ``newton``
-    every iteration starts from that step, and each point is evaluated with its
-    Hessian. It stops when no halving helps, an unhalved step gains under 1e-10
-    relative, or at ``MAX_ITER``.
-    """
-    nll, grad, info, hess = _evaluate(x, returns, s0, newton)
-    for it in range(1, MAX_ITER + 1):
-        if newton:
-            step = _newton_step(hess, grad)
-        else:
-            step = np.linalg.lstsq(info, -grad, rcond=None)[0]  # singular if a weight is 0
-        for halvings in range(42):  # the first step, then Newton halved (scoring: unhalved)
-            trial = _evaluate(x + step, returns, s0, newton)
-            if trial[0] < nll:
+    y = _project(y, s0)
+    nll, grad, hess = _derivatives(y, returns, s0)
+    for it in range(MAX_ITER):
+        free, gap = _kkt(y, nll, grad, s0)
+        if gap <= GRADIENT_TOL:
+            return nll, grad, y, it
+        step = free @ _newton_step(free.T @ hess @ free, free.T @ grad)
+        for _ in range(42):
+            trial = _project(y + step, s0)
+            out = _derivatives(trial, returns, s0)
+            if out[0] < nll:
                 break
             step = step / 2.0
-            if halvings == 0 and not newton:
-                step = _newton_step(_nll_and_grad(x, returns, s0, hessian=True)[3], grad)
         else:
-            return nll, grad, x, it
-        x, gain = x + step, nll - trial[0]
-        nll, grad, info, hess = trial
-        if halvings <= 1 and gain < 1e-10 * max(1.0, abs(nll)):
-            return nll, grad, x, it
-    return nll, grad, x, MAX_ITER
+            return nll, grad, y, it
+        y, (nll, grad, hess) = trial, out
+    return nll, grad, y, MAX_ITER
 
 
-def _warm_start(params: GarchParams, sample_var: float) -> np.ndarray:
-    """Search coordinates of ``params`` with a, b and 1 - a - b at least ``WARM_FLOOR``.
-
-    At a weight near 0 the softmax gradient vanishes with the weight, so a search
-    started there stays there even where the likelihood rises inward. A start the
-    floor moves takes omega = ``sample_var`` * (1 - a - b), as the cold starts do:
-    its own omega with the new weights can put its variance level far off the
-    window's and drive the search into another such corner.
-    """
-    a, b = max(params.arch_coef, WARM_FLOOR), max(params.garch_coef, WARM_FLOOR)
-    shrink = min(1.0, (1.0 - WARM_FLOOR) / (a + b))
-    a, b = a * shrink, b * shrink
-    moved = (a, b) != (params.arch_coef, params.garch_coef)
-    return _pack(sample_var * (1.0 - a - b) if moved else params.omega, a, b)
-
-
-def _assess(run, returns: np.ndarray, sample_var: float, iterations: int):
-    """(fit, None) for a search that passes ``fit_garch``'s test, else (fit, why it fails)."""
-    nll, grad, x, _ = run
-    omega, a, b = _unpack(x)
-    if a + b >= 1.0 - 1e-10:  # float rounding at the simplex boundary
-        shrink = (1.0 - 1e-10) / (a + b)
-        a, b = a * shrink, b * shrink
-    params = GarchParams(omega, a, b)
-    fit = GarchFit(params, garch_sigma2_path(params, returns, sample_var), float(nll), iterations)
-    scale = max(1.0, abs(fit.neg_loglik))
-    gradient = float(np.max(np.abs(grad))) / scale
-    omega_gain = -grad[0] / omega * sample_var / scale
-    if gradient > GRADIENT_TOL or omega_gain > OMEGA_GAIN_TOL:
-        return fit, (f"scaled gradient norm {gradient:.3g} (limit {GRADIENT_TOL:g}), "
-                     f"gain {omega_gain:.3g} from raising omega = {omega:.3g} "
-                     f"(limit {OMEGA_GAIN_TOL:g})")
-    return fit, None
-
-
-def _weight_stalled(fit: GarchFit, returns: np.ndarray, sample_var: float) -> bool:
-    """Whether raising a, b or 1 - a - b gains over ``OMEGA_GAIN_TOL`` * max(1, |nll|)
-    per unit of that weight: a search stopped where ``_assess`` cannot see, because
-    the softmax gradient vanishes with the weight. Read at ``fit.params``, whose
-    1 - a - b is at least 1e-10; a weight of exactly 0 counts as stalled.
-    """
-    omega, a, b = astuple(fit.params)
-    if min(a, b) == 0.0:
-        return True
-    _, grad, _, _ = _nll_and_grad(_pack(omega, a, b), returns, sample_var)
-    limit = OMEGA_GAIN_TOL * max(1.0, abs(fit.neg_loglik))
-    return -grad[1] > limit * a or -grad[2] > limit * b or grad[1] + grad[2] > limit * (1 - a - b)
+def _result(run, returns: np.ndarray, s0: float, iterations: int):
+    """The fit a search ended at, and its KKT gap."""
+    nll, grad, y, _ = run
+    w, a, b = y.tolist()
+    params = GarchParams(s0 * w, a, b)
+    fit = GarchFit(params, garch_sigma2_path(params, returns, s0), float(nll), iterations)
+    return fit, _kkt(y, nll, grad, s0)[1]
 
 
 def fit_garch(returns, start: GarchParams | None = None) -> GarchFit:
-    """Maximum-likelihood GARCH(1,1) fit: ``_fisher_scoring`` from ``start`` or three starts.
+    """Maximum-likelihood GARCH(1,1) fit: ``_search`` from ``start`` or from three starts.
+
+    The search runs on the feasible set itself, in y = (omega / var(r), a, b) with
+    omega >= ``SIGMA2_FLOOR``, a, b >= 0 and a + b <= ``AB_MAX``, so a fit can lie
+    exactly on a bound. One KKT test (``_kkt``) accepts a fit: the gradient, less
+    its part that presses outward on the bounds the fit lies on, is at most
+    ``GRADIENT_TOL`` * max(1, |nll|) in every coordinate of y.
 
     Given ``start`` (say, the fit of an overlapping window) and at least
-    ``WARM_MIN_LENGTH`` returns, one search, Newton from the first step, runs
-    from it with its weights pulled into the interior (``_warm_start``). If
-    that passes the test below, and raising no weight gains
-    (``_weight_stalled``), it is the fit (``warm`` is True). Otherwise the
-    three cold starts run. Shorter windows' likelihoods have several local
-    optima, and a warm search can stay in one that the cold starts leave.
-
-    Each search runs at most ``MAX_ITER`` iterations, read at call time.
-    The best optimum must have a scaled gradient norm (search coordinates) of
-    at most ``GRADIENT_TOL`` and gain at most ``OMEGA_GAIN_TOL`` from raising
-    omega (``-dnll/domega * var(r) / max(1, |nll|)``). That test is one-sided:
-    it rejects a search stalled at omega -> 0, where the log-omega gradient
-    vanishes, and keeps an optimum that truly lies there. A best optimum that
-    fails it gets one more search, Newton from the first step, from the same
-    point with omega raised to at least the sample variance; scoring can stall
-    at omega -> 0 or zigzag along a flat ridge where Newton converges. If that
-    fails too, it raises ``ConvergenceError`` carrying the first fit. Deterministic.
+    ``WARM_MIN_LENGTH`` returns, one search runs from it; if its end passes the
+    test, that is the fit (``warm`` is True). Otherwise the three cold starts run.
+    Shorter windows' likelihoods have several local optima, and a warm search can
+    stay in one that the cold starts leave. Each search runs at most ``MAX_ITER``
+    iterations, read at call time. A best cold optimum that fails the test raises
+    ``ConvergenceError`` carrying that fit. Deterministic.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.size < MIN_FIT_LENGTH:
@@ -309,25 +258,21 @@ def fit_garch(returns, start: GarchParams | None = None) -> GarchFit:
 
     iterations = 0
     if start is not None and returns.size >= WARM_MIN_LENGTH:
-        run = _fisher_scoring(_warm_start(start, sample_var), returns, sample_var, True)
-        fit, failure = _assess(run, returns, sample_var, run[3])
-        if failure is None and not _weight_stalled(fit, returns, sample_var):
+        y = np.array([start.omega / sample_var, start.arch_coef, start.garch_coef])
+        run = _search(y, returns, sample_var)
+        fit, gap = _result(run, returns, sample_var, run[3])
+        if gap <= GRADIENT_TOL:
             return replace(fit, warm=True)
         iterations = run[3]
-    runs = [_fisher_scoring(_pack(sample_var * (1.0 - a0 - b0), a0, b0), returns, sample_var)
-            for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]]
+    runs = [_search(np.array([1.0 - a0 - b0, a0, b0]), returns, sample_var)
+            for a0, b0 in COLD_STARTS]
     best = min(runs, key=lambda run: run[0])
-    iterations += sum(run[3] for run in runs)
-    fit, failure = _assess(best, returns, sample_var, iterations)
-    if failure is None:
-        return fit
-    w, u, v = best[2]
-    lifted = np.array([max(w, math.log(sample_var)), u, v])
-    rescue = _fisher_scoring(lifted, returns, sample_var, True)  # Newton from the start
-    rescued, rescue_failure = _assess(rescue, returns, sample_var, iterations + rescue[3])
-    if rescue_failure is None:
-        return rescued
-    raise ConvergenceError(failure, best=fit)
+    fit, gap = _result(best, returns, sample_var, iterations + sum(run[3] for run in runs))
+    if gap > GRADIENT_TOL:
+        raise ConvergenceError(
+            f"KKT gap {gap:.3g} (limit {GRADIENT_TOL:g}) at omega = {fit.params.omega:.3g}, "
+            f"a = {fit.params.arch_coef:.3g}, b = {fit.params.garch_coef:.3g}", best=fit)
+    return fit
 
 
 def simulate_garch_returns(

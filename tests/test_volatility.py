@@ -1,9 +1,12 @@
 import logging
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import approx_fprime, minimize
 
 from adaptive_conformal import volatility
@@ -18,11 +21,14 @@ from adaptive_conformal.errors import (
     NoDataError,
 )
 from adaptive_conformal.volatility import (
+    AB_MAX,
+    COLD_STARTS,
+    GRADIENT_TOL,
+    SIGMA2_FLOOR,
     WARM_MIN_LENGTH,
     GarchFit,
     GarchParams,
-    _nll_and_grad,
-    _pack,
+    _derivatives,
     default_regime_prices,
     fit_garch,
     forecast_next_sigma2,
@@ -35,6 +41,35 @@ from adaptive_conformal.volatility import (
     simulate_garch_prices,
     simulate_garch_returns,
 )
+
+
+def _stop_searches(monkeypatch, end, warm_only=False):
+    """Make each search (or each from a warm start) stop at once at ``end(y)``.
+
+    ``y`` is the search's start in its coordinates (omega / var(r), a, b); the
+    stopped search reports the NLL and gradient there, as a real one would.
+    """
+    search = volatility._search
+
+    def stopped(y, returns, s0):
+        if warm_only and tuple(y[1:]) in COLD_STARTS:
+            return search(y, returns, s0)
+        point = np.asarray(end(y), dtype=float)
+        return (*_derivatives(point, returns, s0)[:2], point, 0)
+
+    monkeypatch.setattr(volatility, "_search", stopped)
+
+
+def _softmax_nll_and_grad(x, returns, s0):
+    """NLL and gradient in the unconstrained coordinates (log omega, softmax of (0, u, v)),
+    the reference BFGS's search space."""
+    w, u, v = x
+    z = np.exp(np.array([0.0, u, v]) - max(0.0, u, v))
+    a, b = z[1:] / z.sum()
+    omega = math.exp(min(w, 700.0))
+    nll, grad, _ = _derivatives(np.array([omega / s0, a, b]), returns, s0)
+    jac = np.array([[a * (1.0 - a), -a * b], [-a * b, b * (1.0 - b)]])
+    return nll, np.concatenate([[grad[0] * omega / s0], jac @ grad[1:]])
 
 
 class TestReturns:
@@ -176,14 +211,14 @@ class TestFit:
         rets = simulate_garch_returns(800, GarchParams(0.05, 0.1, 0.85), np.random.default_rng(6))
         fit = fit_garch(rets)
         v = float(np.var(rets))
-        for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)]:
+        for a0, b0 in COLD_STARTS:
             start = GarchParams(v * (1 - a0 - b0), a0, b0)
             assert fit.neg_loglik <= garch_neg_loglik(start, rets) + 1e-9
 
     @staticmethod
     def _derivative_case(case):
-        # Cases cycle through interior parameters, a + b within 1e-6..1e-3 of
-        # 1, and omega between 1e-25 and 1e-12.
+        # Cases cycle through interior parameters (two of them with a = 0), a + b
+        # within 1e-6..1e-3 of 1, and omega within 100x of its floor.
         rng = np.random.default_rng(100 + case)
         rets = simulate_garch_returns(int(rng.integers(30, 400)), GarchParams(1e-5, 0.08, 0.9),
                                       rng)
@@ -191,48 +226,41 @@ class TestFit:
         a = rng.uniform(0.02, 0.3)
         omega, b = [(s0 * rng.uniform(0.05, 1.0), rng.uniform(0.01, 0.6)),
                     (s0 * 1e-3, 1.0 - a - 10 ** rng.uniform(-6, -3)),
-                    (10 ** rng.uniform(-25, -12), rng.uniform(0.5, 0.65))][case % 3]
-        return rets, s0, omega, a, b
+                    (SIGMA2_FLOOR * 10 ** rng.uniform(0, 2), rng.uniform(0.5, 0.65))][case % 3]
+        return rets, s0, np.array([omega / s0, 0.0 if case % 6 == 3 else a, b])
 
     @pytest.mark.parametrize("case", range(12))
     def test_gradient_matches_finite_differences(self, case):
-        rets, s0, omega, a, b = self._derivative_case(case)
-        x = _pack(omega, a, b)
-        _, grad, _, _ = _nll_and_grad(x, rets, s0)
-        ref = approx_fprime(x, lambda y: _nll_and_grad(y, rets, s0)[0], 1e-7)
+        # Forward differences in y = (omega / var(r), a, b), which stay on the
+        # feasible side of a = 0.
+        rets, s0, y = self._derivative_case(case)
+        nll, grad, _ = _derivatives(y, rets, s0)
+        assert nll == garch_neg_loglik(GarchParams(s0 * y[0], y[1], y[2]), rets)
+        ref = approx_fprime(y, lambda z: _derivatives(z, rets, s0)[0], 1e-7)
         assert np.max(np.abs(grad - ref)) <= 1e-5 * np.max(np.abs(ref))
-        # d nll / d omega itself, which the boundary test reads, on the data's scale.
-        ref_omega = approx_fprime([omega], lambda w: _nll_and_grad(_pack(w[0], a, b), rets,
-                                                                   s0)[0], 1e-8 * s0)
-        assert grad[0] / omega == pytest.approx(ref_omega[0], rel=1e-5)
+        # d nll / d omega itself, which the omega bound's multiplier reads.
+        ref_omega = approx_fprime([s0 * y[0]], lambda w: garch_neg_loglik(
+            GarchParams(w[0], y[1], y[2]), rets), 1e-8 * s0)
+        assert grad[0] / s0 == pytest.approx(ref_omega[0], rel=1e-5)
 
     @pytest.mark.parametrize("case", range(12))
     def test_information_and_hessian_match_finite_differences(self, case):
-        rets, s0, omega, a, b = self._derivative_case(case)
-        x = _pack(omega, a, b)
-        _, _, info, hess = _nll_and_grad(x, rets, s0, hessian=True)
-        # The information: symmetric, positive semi-definite, and 0.5 * sum of
-        # d sigma2 d sigma2^T / sigma2^2 from central differences of the path.
-        assert np.allclose(info, info.T, rtol=1e-12, atol=0.0)
-        assert np.min(np.linalg.eigvalsh(info)) >= -1e-12 * np.max(np.abs(info))
-        path = volatility._sigma2_path(omega, a, b, rets, s0)
-        steps = 1e-6 * np.eye(3)
-        dpath = np.array([volatility._sigma2_path(*volatility._unpack(x + h), rets, s0)
-                          - volatility._sigma2_path(*volatility._unpack(x - h), rets, s0)
-                          for h in steps]) / 2e-6 / path
-        assert np.max(np.abs(info - 0.5 * dpath @ dpath.T)) <= 1e-5 * np.max(np.abs(info))
-        # The Hessian: central differences of the exact gradient.
-        ref = np.array([_nll_and_grad(x + h, rets, s0)[1] - _nll_and_grad(x - h, rets, s0)[1]
-                        for h in steps]) / 2e-6
+        # The Hessian of the NLL, its observed information: symmetric, and
+        # central differences of the exact gradient (the recursion is defined
+        # just below a = 0 too).
+        rets, s0, y = self._derivative_case(case)
+        _, _, hess = _derivatives(y, rets, s0)
+        assert np.allclose(hess, hess.T, rtol=1e-12, atol=0.0)
+        ref = np.array([_derivatives(y + h, rets, s0)[1] - _derivatives(y - h, rets, s0)[1]
+                        for h in 1e-6 * np.eye(3)]) / 2e-6
         assert np.max(np.abs(hess - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_overflowing_derivatives_score_as_degenerate(self):
-        # Returns near 1e152 keep the path finite but overflow the Hessian, and a
-        # least-squares solve on an infinite matrix never returns.
+        # Returns near 1e152 keep the path finite but overflow the derivatives,
+        # and a least-squares solve on an infinite matrix never returns.
         rets = np.random.default_rng(0).standard_normal(200) * 1e152
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _nll_and_grad(_pack(1.0, 1e-7, 0.99999), rets, float(np.var(rets)),
-                                hessian=True)
+        s0 = float(np.var(rets))
+        out = _derivatives(np.array([1.0 / s0, 1e-7, 0.99999]), rets, s0)
         assert out[0] == 1e12 and all(np.all(m == 0.0) for m in out[1:])
 
     @pytest.mark.parametrize("source", ["regime", "simulated"])
@@ -248,10 +276,11 @@ class TestFit:
                        for n, seed in [(250, 1), (500, 2), (1000, 3), (2000, 4)]]
         for window in windows:
             s0 = float(np.var(window))
-            best = min(minimize(lambda y: _nll_and_grad(y, window, s0)[:2],
-                                _pack(s0 * (1.0 - a0 - b0), a0, b0), jac=True,
-                                method="BFGS").fun
-                       for a0, b0 in [(0.05, 0.90), (0.10, 0.80), (0.20, 0.40)])
+            best = min(minimize(_softmax_nll_and_grad, [math.log(s0 * (1.0 - a0 - b0)),
+                                                        math.log(a0 / (1.0 - a0 - b0)),
+                                                        math.log(b0 / (1.0 - a0 - b0))],
+                                args=(window, s0), jac=True, method="BFGS").fun
+                       for a0, b0 in COLD_STARTS)
             assert fit_garch(window).neg_loglik <= best + 1e-6
 
     @staticmethod
@@ -268,13 +297,14 @@ class TestFit:
             fit = fit_garch(window, None if fit is None else fit.params)
             assert fit.neg_loglik <= fit_garch(window).neg_loglik + 1e-6
 
-    # A start on the boundary of the simplex: a = 0, b = 0, or a = 1e-9 with
-    # 1 - a - b = 3e-9. From there alone a search ends 262-588 nats worse.
+    # A start on or next to the boundary of the simplex: a = 0, b = 0, or
+    # a = 1e-9 with 1 - a - b = 3e-9. A search in softmax coordinates, whose
+    # gradient vanishes with the weight, stalled there 262-588 nats worse.
     BOUNDARY_STARTS = [lambda p: (1e-12, p.garch_coef), lambda p: (p.arch_coef, 1e-12),
-                       lambda p: (1e-9, 1.0 - 1e-9 - 3e-9)]
+                       lambda p: (1e-9, 1.0 - 1e-9 - 3e-9), lambda p: (0.0, p.garch_coef)]
 
     @pytest.mark.parametrize("t", [2300, 2590])
-    @pytest.mark.parametrize("start", range(3))
+    @pytest.mark.parametrize("start", range(4))
     def test_boundary_start_is_pulled_inside(self, t, start):
         window = self._regime_returns()[t - 2000 : t]
         cold = fit_garch(window)
@@ -286,20 +316,21 @@ class TestFit:
     @pytest.mark.parametrize("start", range(3))
     def test_warm_search_stalled_on_the_boundary_falls_back_to_cold(self, monkeypatch, t,
                                                                      start):
-        # Unfloored, the warm search stalls where a weight's softmax gradient
-        # vanishes: hundreds of nats worse, yet it passes _assess.
+        # A warm search that stops where it starts, on the boundary: hundreds of
+        # nats worse, and the KKT test sees the gain from moving inward.
         window = self._regime_returns()[t - 2000 : t]
         cold = fit_garch(window)
         a, b = self.BOUNDARY_STARTS[start](cold.params)
         s0 = float(np.var(window))
-        raw = _pack(s0 * (1.0 - a - b), a, b)
-        stalled, failure = volatility._assess(volatility._fisher_scoring(raw, window, s0, True),
-                                              window, s0, 0)
-        assert failure is None and stalled.neg_loglik > cold.neg_loglik + 100
-        monkeypatch.setattr(volatility, "_warm_start", lambda params, var: raw)
-        fit = fit_garch(window, GarchParams(cold.params.omega, a, b))
-        assert not fit.warm and fit.neg_loglik == cold.neg_loglik
-        assert fit.iterations > cold.iterations
+        stall = GarchParams(cold.params.omega, a, b)
+        assert garch_neg_loglik(stall, window) > cold.neg_loglik + 100
+        _stop_searches(monkeypatch, lambda y: y, warm_only=True)
+        fit = fit_garch(window, stall)
+        assert not fit.warm and fit.params == cold.params
+        assert fit.neg_loglik == cold.neg_loglik and fit.iterations == cold.iterations
+        assert volatility._kkt(np.array([stall.omega / s0, a, b]),
+                               *_derivatives(np.array([stall.omega / s0, a, b]), window, s0)[:2],
+                               s0)[1] > GRADIENT_TOL
 
     def test_short_window_ignores_the_start(self):
         # On 250 returns a warm chain ended up to 5 nats worse than cold fits.
@@ -325,17 +356,40 @@ class TestFit:
         assert fit.params.omega > 1e-9
 
     def test_search_stalled_at_zero_omega_is_rejected(self, monkeypatch):
-        # Every search starts at that stalled point, where the search stops at
-        # once: its scaled gradient in the search coordinates is ~7e-11, but
-        # raising omega gains about 0.85 on the data's scale.
-        rets = returns_from_prices(default_regime_prices(2600, np.random.default_rng(201)))
-        stalled = _pack(4.8e-23, 0.07199822713703474, 0.9280017727629652)
-        search = volatility._fisher_scoring
-        monkeypatch.setattr(volatility, "_fisher_scoring",
-                            lambda x0, *args: search(stalled, *args))
-        with pytest.raises(ConvergenceError, match="raising omega") as err:
-            fit_garch(rets[210:2210])
+        # Every search stops at the point where a search in log-omega stalled:
+        # its gradient there was ~7e-11, but raising omega gains 0.85 * |nll|
+        # per unit of var(r), 85,000x the limit.
+        window = self._regime_returns()[210:2210]
+        s0 = float(np.var(window))
+        stalled = [4.8e-23 / s0, 0.07199822713703474, 0.9280017727629652]
+        _stop_searches(monkeypatch, lambda y: stalled)
+        with pytest.raises(ConvergenceError, match="KKT gap 0.848") as err:
+            fit_garch(window)
         assert err.value.best.params.omega < 1e-20
+
+    def test_search_stalled_at_zero_arch_coef_is_rejected(self, monkeypatch):
+        # On a = 0, where raising a lowers the NLL, with b and omega the optimum's.
+        window = self._regime_returns()[210:2210]
+        cold = fit_garch(window)
+        s0 = float(np.var(window))
+        _stop_searches(monkeypatch, lambda y: [cold.params.omega / s0, 0.0, cold.params.garch_coef])
+        with pytest.raises(ConvergenceError, match="KKT gap") as err:
+            fit_garch(window)
+        assert err.value.best.params.arch_coef == 0.0
+
+    def test_optimum_on_the_boundary_is_accepted(self, monkeypatch):
+        # The likelihood of this short window is highest on a = 0 itself:
+        # raising a by 1e-6 there costs 3e-5 nats.
+        window = returns_from_prices(default_regime_prices(400, np.random.default_rng(3)))[50:150]
+        fit = fit_garch(window)
+        omega, a, b = astuple(fit.params)
+        assert a == 0.0
+        raised = garch_neg_loglik(GarchParams(omega, 1e-6, b), window)
+        assert raised - fit.neg_loglik == pytest.approx(3e-5, rel=0.05)
+        s0 = float(np.var(window))
+        _stop_searches(monkeypatch, lambda y: [omega / s0, a, b])
+        stopped = fit_garch(window)
+        assert stopped.params == fit.params and stopped.neg_loglik == fit.neg_loglik
 
     def test_convergence_error_carries_best_fit(self, monkeypatch):
         rets = simulate_garch_returns(500, GarchParams(0.05, 0.1, 0.85), np.random.default_rng(3))
@@ -343,6 +397,30 @@ class TestFit:
         with pytest.raises(ConvergenceError) as err:
             fit_garch(rets)
         assert isinstance(err.value.best, GarchFit)
+
+    @settings(max_examples=100)
+    @given(n=st.integers(30, 400), seed=st.integers(0, 2**32 - 1), a=st.floats(0.0, 0.4),
+           b=st.floats(0.0, 0.97))
+    def test_fit_meets_first_order_kkt(self, n, seed, a, b):
+        # Checked on the NLL itself, not the code's gradient: no feasible move of
+        # 1e-6 in one of omega / var(r), a, b lowers it by more than the KKT
+        # limit allows for that move, plus float noise.
+        rets = simulate_garch_returns(n, GarchParams(1e-5, a, min(b, 0.98 - a)),
+                                      np.random.default_rng(seed))
+        try:
+            fit = fit_garch(rets)
+        except ConvergenceError:
+            return
+        s0 = float(np.var(rets))
+        y = np.array([fit.params.omega / s0, fit.params.arch_coef, fit.params.garch_coef])
+        assert y[0] * s0 >= SIGMA2_FLOOR and min(y[1:]) >= 0.0 and y[1] + y[2] <= AB_MAX
+        nll = garch_neg_loglik(fit.params, rets)
+        limit = (GRADIENT_TOL * 1e-6 + 1e-12) * max(1.0, abs(nll))
+        for i, h in product(range(3), (1e-6, -1e-6)):
+            moved = y + h * np.eye(3)[i]
+            if moved[0] * s0 >= SIGMA2_FLOOR and min(moved[1:]) >= 0.0 and sum(moved[1:]) <= AB_MAX:
+                params = GarchParams(moved[0] * s0, moved[1], moved[2])
+                assert garch_neg_loglik(params, rets) >= nll - limit, (i, h)
 
 
 class TestSimulation:
@@ -444,8 +522,8 @@ class TestExperiment:
             self, monkeypatch, caplog, rejected):
         rets = returns_from_prices(default_regime_prices(2600, np.random.default_rng(201)))
         window, refit_every = 2000, 250
-        if rejected:
-            monkeypatch.setattr(volatility, "_weight_stalled", lambda *args: True)
+        if rejected:  # each warm search stops where it starts, with a = 0
+            _stop_searches(monkeypatch, lambda y: [y[0], 0.0, y[2]], warm_only=True)
         with caplog.at_level(logging.INFO, logger="adaptive_conformal.volatility"):
             sigma2, _ = forecast_stream(rets, window, refit_every)
         starts = [r.getMessage().split()[4] for r in caplog.records]
