@@ -145,8 +145,7 @@ def _outfile(args, name: str) -> Path:
 def _write_experiment_outputs(args, report) -> None:
     window = args.local_window
     io.write_trajectory(_outfile(args, "trajectory.csv"), report, window)
-    summary = metrics.summarize(report, window)
-    io.write_json(_outfile(args, "summary.json"), io.summary_payload(summary, report, window))
+    io.write_json(_outfile(args, "summary.json"), metrics.summarize(report, window))
 
 
 def _run_volatility(args) -> int:
@@ -225,8 +224,7 @@ def _run_report(args) -> int:
     if window is None:  # a file that records no window reads back as window 0
         window = recorded_window or metrics.VOLATILITY_WINDOW
     metrics.check_local_window(window)
-    summary = metrics.summarize(report, window)
-    payload = io.summary_payload(summary, report, window)
+    payload = metrics.summarize(report, window)
     if args.out is not None:
         io.write_json(args.out, payload)
     else:

@@ -22,7 +22,8 @@ from scipy.optimize import linprog  # noqa: F401  (perfbench/tracer.py rebinds e
 from . import core
 from .conformal import CqrScore, calibration_scores
 from .conformal import empirical_quantile  # noqa: F401  (perfbench/tracer.py wraps it here)
-from .errors import ConfigurationError, ConvergenceError, DomainError, NoDataError
+from .errors import (ConfigurationError, ConvergenceError, DomainError, ExperimentAborted,
+                     NoDataError)
 from .metrics import TrajectoryReport, replay
 
 logger = logging.getLogger(__name__)
@@ -237,7 +238,8 @@ def cqr_prediction_stream(
     draws a fresh random train/calibration split of all observed counties,
     fits lower/upper quantile models at alpha/2 and 1 - alpha/2 on
     standardized covariates, scores the calibration set with ``CqrScore``,
-    and predicts the quantile pairs of the steps up to the next refit.
+    and predicts the quantile pairs of the steps up to the next refit. A fit
+    that does not converge raises ``ExperimentAborted`` naming the refit's step.
     """
     if refit_every < 1:
         raise ConfigurationError("refit_every must be >= 1")
@@ -272,8 +274,12 @@ def cqr_prediction_stream(
         mean, scale = train.mean(axis=0), train.std(axis=0)
         scale[scale == 0.0] = 1.0
         x_train = (train - mean) / scale
-        lo_model = fit_quantile_regression(x_train, residuals[train_idx], alpha / 2.0)
-        hi_model = fit_quantile_regression(x_train, residuals[train_idx], 1.0 - alpha / 2.0)
+        try:
+            lo_model = fit_quantile_regression(x_train, residuals[train_idx], alpha / 2.0)
+            hi_model = fit_quantile_regression(x_train, residuals[train_idx], 1.0 - alpha / 2.0)
+        except ConvergenceError as exc:
+            raise ExperimentAborted(
+                f"quantile-regression refit failed at step {start - warmup}: {exc}") from exc
         x_cal = (design[cal_idx] - mean) / scale
         cal = CqrScore(lo_model.predict(x_cal), hi_model.predict(x_cal))
         cal_scores.append(cal.score(residuals[cal_idx]))

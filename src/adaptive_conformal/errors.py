@@ -58,12 +58,4 @@ class ValidationError(_FileLineError):
 
 
 class ExperimentAborted(AdaptiveConformalError):
-    """An experiment pipeline stopped early.
-
-    Carries what was computed before the stop: the partial report, flagged
-    invalid, or the prefix of a forecast stream.
-    """
-
-    def __init__(self, message: str, partial_report=None):
-        super().__init__(message)
-        self.partial_report = partial_report
+    """An experiment pipeline stopped at a failed refit; the message names its step."""

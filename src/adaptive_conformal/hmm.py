@@ -9,6 +9,7 @@ Monte Carlo runs validate the concentration and regret bounds numerically.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,8 @@ from scipy.special import ndtr, ndtri
 from . import bounds, core
 from .core import run_level_batch  # noqa: F401  (re-exported: c01-c07 import it from here)
 from .errors import ConfigurationError, DomainError, ErgodicityError, NonReversibleChainError
+
+logger = logging.getLogger(__name__)
 
 REVERSIBILITY_TOL = 1e-9
 
@@ -246,7 +249,10 @@ def estimate_bias_terms(
     n = spec.n_states
     state_errs, visits, rep_errs = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(reps)
     carry = (np.full(reps, float(config.initial_level)), 0.0, 0.0)
+    blocks = -(-(burn + horizon) // BLOCK)
+    logger.info("bias terms: reps=%d burn_in=%d horizon=%d blocks=%d", reps, burn, horizon, blocks)
     for t0, states, scores in _blocks(spec, burn + horizon, reps, rng):
+        logger.debug("block %d of %d: from step %d", t0 // BLOCK + 1, blocks, t0 + 1)
         levels, strict = exceedance_levels(qhat, scores.T, first_step=t0 + 1)
         _, errs, carry = core.run_level_steps(config, levels, strict, carry)
         tail = max(burn - t0, 0)  # the block's first step after the burn-in, if any
@@ -260,12 +266,10 @@ def estimate_bias_terms(
     means = state_errs / visits
     pi = stationary_distribution(spec.transition)
     dev = means - config.target_miscoverage
-    return BiasEstimate(
-        b_hat=float(np.max(np.abs(dev))),
-        sigma_b2_hat=float(np.sum(pi * dev**2)),
-        per_state_err_mean=means,
-        per_rep_err_mean=rep_errs / horizon,
-    )
+    bias = BiasEstimate(float(np.max(np.abs(dev))), float(np.sum(pi * dev**2)), means,
+                        rep_errs / horizon)
+    logger.info("bias terms: b_hat=%.6g sigma_b2_hat=%.6g", bias.b_hat, bias.sigma_b2_hat)
+    return bias
 
 
 @dataclass(frozen=True)

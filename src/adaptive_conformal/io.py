@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import AciConfig
 from .errors import ConfigurationError, ParseError, ValidationError
-from .metrics import CoverageSummary, TrajectoryReport, local_coverage
+from .metrics import TrajectoryReport, local_coverage
 
 PRICE_HEADER = ["date", "open"]
 TRAJECTORY_HEADER = ["t", "label", "alpha_t", "err", "lower", "upper", "local_cov"]
@@ -195,7 +195,7 @@ def write_trajectory(path, report: TrajectoryReport, local_window: int) -> None:
         map(format_number, report.upper.tolist()),
         local,
     )
-    run = f"# run local_window={local_window} valid={str(report.valid).lower()}"
+    run = f"# run local_window={local_window}"
     _write_csv(path, [TRAJECTORY_HEADER, *rows], (_config_meta(report.config_echo), run))
 
 
@@ -236,10 +236,6 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     except ValueError:
         raise ParseError(f"local_window is not an integer: {window_text!r}",
                          line=window_line) from None
-    valid_text, valid_line = meta.get("valid", ("true", 1))
-    if valid_text not in ("true", "false"):
-        raise ParseError(f"valid must be true or false, got {valid_text!r}", line=valid_line)
-    valid = valid_text == "true"
     numbers = [i for i, l in enumerate(raw, start=1) if not l.startswith("#")]
     rows = csv.reader(raw[i - 1] for i in numbers)
     if next(rows, None) != TRAJECTORY_HEADER:
@@ -261,21 +257,9 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
         if row[6] and not 0.0 <= parse_number(row[6], i) <= 1.0:
             raise ValidationError(f"local_cov must be blank or in [0, 1], got {row[6]}", line=i)
     report = TrajectoryReport(errs=errs, alphas=alphas, lower=lower, upper=upper,
-                              step_labels=tuple(labels), config_echo=config, valid=valid)
+                              step_labels=tuple(labels), config_echo=config)
     nan_rows = np.flatnonzero(np.isnan(report.lower) | np.isnan(report.upper))
     if nan_rows.size:
         raise ValidationError("interval bounds must not be nan", line=numbers[1 + nan_rows[0]])
     return report, local_window
 
-
-def summary_payload(summary: CoverageSummary, report: TrajectoryReport, window: int) -> dict:
-    max_dev = summary.max_local_deviation
-    return {
-        "average_coverage": summary.average_coverage,
-        "max_local_deviation": None if math.isnan(max_dev) else max_dev,
-        "prop_bound_value": summary.prop_bound_value,
-        "prop_bound_satisfied": summary.prop_bound_satisfied,
-        "n_steps": len(report),
-        "target_miscoverage": report.config_echo.target_miscoverage,
-        "local_window": window,
-    }

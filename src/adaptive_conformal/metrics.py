@@ -28,8 +28,7 @@ class TrajectoryReport:
 
     ``alphas[i]`` is the level in force when step ``i`` was predicted,
     ``errs[i]`` the resulting miscoverage bit, and ``[lower[i], upper[i]]``
-    the prediction set (``(inf, -inf)`` when empty). ``valid`` is False only
-    on partial reports recovered from an aborted run.
+    the prediction set (``(inf, -inf)`` when empty).
     """
 
     errs: np.ndarray
@@ -38,7 +37,6 @@ class TrajectoryReport:
     upper: np.ndarray
     step_labels: tuple[str, ...]
     config_echo: AciConfig
-    valid: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "errs", np.asarray(self.errs, dtype=np.int8))
@@ -62,7 +60,6 @@ class TrajectoryReport:
             and np.array_equal(self.upper, other.upper)
             and self.step_labels == other.step_labels
             and self.config_echo == other.config_echo
-            and self.valid == other.valid
         )
 
 
@@ -87,14 +84,6 @@ def replay(config: AciConfig, scores, calibration, interval, labels) -> Trajecto
     sets = interval(np.array(thresholds))
     return TrajectoryReport(errs=errs, alphas=alphas, lower=sets.lower, upper=sets.upper,
                             step_labels=tuple(labels), config_echo=config)
-
-
-@dataclass(frozen=True)
-class CoverageSummary:
-    average_coverage: float
-    max_local_deviation: float
-    prop_bound_value: float | None
-    prop_bound_satisfied: bool | None
 
 
 def check_local_window(window: int) -> None:
@@ -147,32 +136,32 @@ def bernoulli_band(
     return lower, upper
 
 
-def summarize(report: TrajectoryReport, window: int) -> CoverageSummary:
-    """Aggregate a trajectory into its headline coverage diagnostics.
+def summarize(report: TrajectoryReport, window: int) -> dict:
+    """The ``summary.json`` record: a trajectory's headline coverage diagnostics.
 
     The bound check is vacuous (infinite bound) for a frozen level and
     absent (None) for the weighted rule, which the bound does not cover; the
-    local-deviation field is NaN when the trajectory is shorter than the
-    window.
+    local deviation is None when the trajectory is shorter than the window.
     """
     if len(report) == 0:
         raise NoDataError("empty trajectory")
     cfg = report.config_echo
     n = len(report)
-    avg = average_coverage(report.errs)
+    max_dev = None
     if window <= n:
         local = local_coverage(report.errs, window)
         max_dev = float(np.max(np.abs(local - (1.0 - cfg.target_miscoverage))))
-    else:
-        max_dev = math.nan
     if cfg.update_rule == WEIGHTED:
         bound = satisfied = None
     else:
         bound = prop_bound(cfg, n) if cfg.step_size > 0.0 else math.inf
         satisfied = bool(abs(float(np.mean(report.errs)) - cfg.target_miscoverage) <= bound)
-    return CoverageSummary(
-        average_coverage=avg,
-        max_local_deviation=max_dev,
-        prop_bound_value=bound,
-        prop_bound_satisfied=satisfied,
-    )
+    return {
+        "average_coverage": average_coverage(report.errs),
+        "max_local_deviation": max_dev,
+        "prop_bound_value": bound,
+        "prop_bound_satisfied": satisfied,
+        "n_steps": n,
+        "target_miscoverage": cfg.target_miscoverage,
+        "local_window": window,
+    }

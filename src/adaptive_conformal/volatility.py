@@ -362,8 +362,7 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
     several calibration policies.
 
     A failed fit, or a forecast path that is not finite or falls below
-    ``SIGMA2_FLOOR``, raises ``ExperimentAborted`` whose ``partial_report``
-    is the ``(sigma2, history)`` prefix before that refit.
+    ``SIGMA2_FLOOR``, raises ``ExperimentAborted`` naming the refit's step.
     """
     rets = np.asarray(rets, dtype=float)
     n = rets.size
@@ -384,10 +383,7 @@ def forecast_stream(rets, window: int, refit_every: int) -> tuple[np.ndarray, np
             fit = fit_garch(rets[t - window : t], start)
             path = garch_sigma2_path(fit.params, rets[t - 1 : stop], fit.sigma2_path[-1])
         except (ConvergenceError, DegenerateDataError, DomainError) as exc:
-            done = t if t > window else 0  # a failed first refit leaves nothing scored
-            prefix = (fitted[window:t], NormalizedScore(fitted[:done]).score(vol[:done]))
-            raise ExperimentAborted(f"GARCH refit failed at step {t - window}: {exc}",
-                                    prefix) from exc
+            raise ExperimentAborted(f"GARCH refit failed at step {t - window}: {exc}") from exc
         logger.info("refit at step %d: start=%s omega=%.6g a=%.6g b=%.6g nll=%.6f "
                     "iterations=%d", t - window, "warm" if fit.warm else "cold",
                     *astuple(fit.params), fit.neg_loglik, fit.iterations)
@@ -420,8 +416,7 @@ def replay_forecast_stream(
     step carries the label of the return it predicts.
     """
     window = history.size - sigma2.size
-    if history.size:  # a stream aborted at its first fit is empty
-        calibration_scores(history)
+    calibration_scores(history)
     if labels is None:
         labels = [str(t) for t in range(1, history.size + 1)]
     return replay(
@@ -452,10 +447,4 @@ def run_volatility_experiment(
     rets = returns_from_prices(prices)
     if labels is not None and len(labels) != rets.size:
         raise ConfigurationError("labels must have one entry per return")
-    try:
-        stream = forecast_stream(rets, window, refit_every)
-    except ExperimentAborted as exc:
-        partial = replay_forecast_stream(*exc.partial_report, aci_config, labels)
-        exc.partial_report = replace(partial, valid=False)
-        raise
-    return replay_forecast_stream(*stream, aci_config, labels)
+    return replay_forecast_stream(*forecast_stream(rets, window, refit_every), aci_config, labels)

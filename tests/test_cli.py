@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptive_conformal import hmm
+from adaptive_conformal import election, hmm
 from adaptive_conformal.cli import build_parser, main
 from adaptive_conformal.election import generate_synthetic_counties
 from adaptive_conformal.io import read_trajectory, write_counties, write_prices, write_trajectory
@@ -229,6 +229,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    def test_failed_garch_refit_names_its_step_and_writes_nothing(self, tmp_path, capsys):
+        # Flat prices from day 100 on make the refit window of step 100 degenerate.
+        head = simulate_garch_prices(100, GarchParams(2e-6, 0.08, 0.9), np.random.default_rng(11))
+        prices = tmp_path / "prices.csv"
+        write_prices(prices, [f"2015-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(200)],
+                     np.concatenate([head, np.full(100, head[-1])]))
+        out = tmp_path / "out"
+        assert run(["volatility", "--prices", str(prices), "--window", "60",
+                    "--refit-every", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: GARCH refit failed at step 100: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failed_quantile_regression_refit_names_its_step(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(election, "MAX_ITERATIONS", 0)
+        counties = tmp_path / "counties.csv"
+        write_counties(counties, generate_synthetic_counties(560, 3, seed=0))
+        out = tmp_path / "out"
+        assert run(["election", "--counties", str(counties), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: quantile-regression refit failed at step 0: "
+                       "no convergence in 0 iterations\n")
+        assert not out.exists()
+
     def test_malformed_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close\n2020-01-01,5\n")
@@ -383,6 +409,23 @@ class TestReportCommand:
         path.write_text("\n".join(lines) + "\n")
         assert run(["report", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["local_window"] == 500
+
+    @pytest.mark.parametrize("valid", ["true", "false"])
+    def test_file_with_a_valid_token_reads_as_without_it(self, tmp_path, capsys, valid):
+        # Older writers ended the ``# run`` line with ``valid=true`` or ``valid=false``.
+        from test_io import make_report
+
+        path, old = tmp_path / "t.csv", tmp_path / "old.csv"
+        write_trajectory(path, make_report(n=30, seed=2), local_window=10)
+        text = path.read_text()
+        assert "# run local_window=10\n" in text
+        old.write_text(text.replace("local_window=10", f"local_window=10 valid={valid}"))
+        assert read_trajectory(old) == read_trajectory(path)
+        outputs = []
+        for trajectory in (path, old):
+            assert run(["report", "--in", str(trajectory)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("flags", [
         pytest.param(["--alpha", "0.9999999999999"], id="alpha"),

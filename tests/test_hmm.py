@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import re
 import tracemalloc
@@ -382,6 +383,22 @@ class TestBiasEstimation:
         a = estimate_bias_terms(spec, NormalQuantile(), cfg, rng=np.random.default_rng(9), **kw)
         b = estimate_bias_terms(spec, NormalQuantile(), cfg, rng=np.random.default_rng(9), **kw)
         assert a.b_hat == b.b_hat and a.sigma_b2_hat == b.sigma_b2_hat
+
+    def test_logs_its_start_each_block_and_its_end(self, caplog):
+        cfg, kw = AciConfig(0.1, 0.02), dict(reps=100, horizon=700)  # burn-in 1000: 4 blocks
+        quiet = estimate_bias_terms(two_state_spec(), NormalQuantile(), cfg,
+                                    rng=np.random.default_rng(9), **kw)
+        with caplog.at_level(logging.DEBUG, logger="adaptive_conformal.hmm"):
+            est = estimate_bias_terms(two_state_spec(), NormalQuantile(), cfg,
+                                      rng=np.random.default_rng(9), **kw)
+        assert est.b_hat == quiet.b_hat and est.sigma_b2_hat == quiet.sigma_b2_hat
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "bias terms: reps=100 burn_in=1000 horizon=700 blocks=4"),
+            *((logging.DEBUG, f"block {k + 1} of 4: from step {k * BLOCK + 1}")
+              for k in range(4)),
+            (logging.INFO, f"bias terms: b_hat={est.b_hat:.6g} "
+                           f"sigma_b2_hat={est.sigma_b2_hat:.6g}"),
+        ]
 
     @pytest.mark.parametrize("spec,cfg,horizon", [
         pytest.param(two_state_spec(), AciConfig(0.1, 0.03), 700, id="unaligned-blocks"),

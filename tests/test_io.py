@@ -196,7 +196,6 @@ class TestTrajectory:
         ("target_miscoverage=0.1", "target_miscoverage=abc", 1),
         ("local_window=4", "local_window=x", 2),
         ("target_miscoverage=0.1", "target_miscoverage=2", 1),
-        ("valid=true", "valid=maybe", 2),
     ])
     def test_bad_metadata_names_line(self, tmp_path, old, new, line):
         path = tmp_path / "t.csv"
@@ -290,7 +289,6 @@ def reports(draw):
         upper=column(BOUND),
         step_labels=tuple(column(LABEL)),
         config_echo=config,
-        valid=draw(st.booleans()),
     )
 
 

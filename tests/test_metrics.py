@@ -6,7 +6,6 @@ import pytest
 from adaptive_conformal.core import AciConfig, prop_bound
 from adaptive_conformal.errors import ConfigurationError, NoDataError
 from adaptive_conformal.metrics import (
-    CoverageSummary,
     TrajectoryReport,
     average_coverage,
     bernoulli_band,
@@ -105,29 +104,29 @@ class TestSummarize:
         # check would fail for a genuinely frozen trajectory, but at n = 500
         # the bound 0.905/2.5 = 0.362 still dominates.
         summary = summarize(make_report(np.zeros(500)), window=100)
-        assert summary.average_coverage == 1.0
-        assert summary.prop_bound_value == pytest.approx(0.362)
-        assert summary.prop_bound_satisfied
+        assert summary["average_coverage"] == 1.0
+        assert summary["prop_bound_value"] == pytest.approx(0.362)
+        assert summary["prop_bound_satisfied"]
 
     def test_constructed_violation_is_flagged(self):
         # An all-miss sequence long enough to shrink the bound below 0.9
         # cannot come from a genuine adaptive run; summarize must flag it.
         n = 5000
         summary = summarize(make_report(np.ones(n)), window=100)
-        assert summary.prop_bound_value < abs(1.0 - 0.1)
-        assert not summary.prop_bound_satisfied
+        assert summary["prop_bound_value"] < abs(1.0 - 0.1)
+        assert not summary["prop_bound_satisfied"]
 
     def test_bernoulli_like_sequence_satisfied(self):
         rng = np.random.default_rng(3)
         errs = (rng.random(2000) < 0.1).astype(int)
         summary = summarize(make_report(errs), window=500)
-        assert summary.prop_bound_satisfied
-        assert summary.max_local_deviation >= 0.0
+        assert summary["prop_bound_satisfied"]
+        assert summary["max_local_deviation"] >= 0.0
 
     def test_frozen_level_bound_is_vacuous(self):
         summary = summarize(make_report(np.ones(100), gamma=0.0), window=50)
-        assert summary.prop_bound_value == math.inf
-        assert summary.prop_bound_satisfied
+        assert summary["prop_bound_value"] == math.inf
+        assert summary["prop_bound_satisfied"]
 
     def test_weighted_rule_claims_no_bound(self):
         # The gap 0.9 is far above the simple-rule bound, which does not
@@ -135,12 +134,12 @@ class TestSummarize:
         report = make_report(np.ones(100), gamma=0.5, update_rule="weighted")
         assert 0.9 > prop_bound(report.config_echo, 100)
         summary = summarize(report, window=50)
-        assert summary.prop_bound_value is None
-        assert summary.prop_bound_satisfied is None
+        assert summary["prop_bound_value"] is None
+        assert summary["prop_bound_satisfied"] is None
 
     def test_short_trajectory_has_no_local_series(self):
         summary = summarize(make_report(np.zeros(30)), window=100)
-        assert math.isnan(summary.max_local_deviation)
+        assert summary["max_local_deviation"] is None
 
     def test_empty_report_rejected(self):
         with pytest.raises(NoDataError):
@@ -151,5 +150,6 @@ class TestSummarize:
         errs[:10] = 1  # early cluster of misses
         summary = summarize(make_report(errs), window=20)
         local = local_coverage(errs, 20)
-        assert summary.max_local_deviation == pytest.approx(np.max(np.abs(local - 0.9)))
-        assert isinstance(summary, CoverageSummary)
+        assert summary["max_local_deviation"] == pytest.approx(np.max(np.abs(local - 0.9)))
+        assert {k: summary[k] for k in ("n_steps", "target_miscoverage", "local_window")} == {
+            "n_steps": 40, "target_miscoverage": 0.1, "local_window": 20}

@@ -1,6 +1,6 @@
 import logging
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from itertools import product
 
 import numpy as np
@@ -449,7 +449,6 @@ class TestExperiment:
         prices = self._prices(window + 1 + extra)
         report = run_volatility_experiment(prices, self.CONFIG, window=window, refit_every=10)
         assert len(report) == extra
-        assert report.valid
 
     def test_too_short_series(self):
         with pytest.raises(NoDataError):
@@ -483,27 +482,23 @@ class TestExperiment:
         sets = PredictionInterval(report.lower, report.upper)
         np.testing.assert_array_equal(report.errs == 1, ~sets.contains(realized))
 
-    def test_degenerate_window_aborts_with_partial_report(self):
+    def test_degenerate_first_window_aborts_at_step_0(self):
         # A constant stretch of prices makes the first fit window degenerate.
         prices = np.concatenate([np.full(70, 100.0), self._prices(40)])
-        with pytest.raises(ExperimentAborted) as err:
+        with pytest.raises(ExperimentAborted, match="^GARCH refit failed at step 0: ") as err:
             run_volatility_experiment(prices, self.CONFIG, window=60, refit_every=5)
-        partial = err.value.partial_report
-        assert partial is not None and not partial.valid
-        assert len(partial) == 0  # failed on the very first fit
+        assert isinstance(err.value.__cause__, DegenerateDataError)
 
-    def test_late_fit_failure_keeps_the_replayed_prefix(self):
-        # Flat prices from day 100 on make the refit windows degenerate.
+    def test_late_fit_failure_names_its_step(self):
+        # Flat prices from day 100 on make the refit windows degenerate; the
+        # first window that holds only flat returns is that of step 100.
         head = self._prices(100)
         prices = np.concatenate([head, np.full(100, head[-1])])
-        with pytest.raises(ExperimentAborted) as err:
+        with pytest.raises(ExperimentAborted, match="^GARCH refit failed at step 100: ") as err:
             run_volatility_experiment(prices, self.CONFIG, window=60, refit_every=5)
-        partial = err.value.partial_report
-        steps = len(partial)
-        assert steps > 0 and steps % 5 == 0 and not partial.valid
-        clean = run_volatility_experiment(prices[: 61 + steps], self.CONFIG, window=60,
-                                          refit_every=5)
-        assert replace(partial, valid=True) == clean
+        assert isinstance(err.value.__cause__, DegenerateDataError)
+        assert len(run_volatility_experiment(prices[:161], self.CONFIG, window=60,
+                                             refit_every=5)) == 100
 
     def test_refits_are_logged_at_info(self, caplog):
         rets = returns_from_prices(self._prices(200, seed=47))
@@ -567,9 +562,6 @@ class TestExperiment:
         prices = self._prices(100)
         prices[85:] *= 1e200
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                ExperimentAborted) as err:
+                ExperimentAborted, match="^GARCH refit failed at step 20: ") as err:
             run_volatility_experiment(prices, self.CONFIG, window=60, refit_every=10)
-        partial = err.value.partial_report
-        assert len(partial) == 20 and not partial.valid
-        clean = run_volatility_experiment(prices[:81], self.CONFIG, window=60, refit_every=10)
-        assert replace(partial, valid=True) == clean
+        assert isinstance(err.value.__cause__, DomainError)
