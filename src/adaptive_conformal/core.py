@@ -167,14 +167,15 @@ def prop_bound(config: AciConfig, horizon: int) -> float:
     """Worst-case bound on |empirical miscoverage - target| after ``horizon`` steps.
 
     Equals (max(alpha_1, 1 - alpha_1) + gamma) / (horizon * gamma) and holds
-    with probability one for the simple rule.
+    with probability one for the simple rule; it is computed as
+    (max(alpha_1, 1 - alpha_1) / gamma + 1) / horizon, which cannot overflow.
     """
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     if config.step_size == 0.0:
         raise DomainError("the coverage bound is undefined for step_size 0")
     a1 = config.initial_level
-    return (max(a1, 1.0 - a1) + config.step_size) / (horizon * config.step_size)
+    return (max(a1, 1.0 - a1) / config.step_size + 1.0) / horizon
 
 
 def empirical_miscoverage(state: AciState) -> float:

@@ -82,38 +82,41 @@ def fit_quantile_regression(design, responses, level: float) -> QrModel:
     shift = 0.1 * float(np.mean(np.abs(r)))  # off the boundary, and better centred
     z, w = np.maximum(r, 0.0) + shift, np.maximum(-r, 0.0) + shift
     tol = GAP_TOL * float(np.sum(np.abs(responses)))
-    for iterations in range(MAX_ITERATIONS + 1):
-        resid = responses + design1 @ dual  # responses - design1 @ beta
-        if np.sum(np.maximum(resid, 0.0)) - x @ resid <= tol:  # gap of beta and lam; NaN fails
-            break
-        if iterations == MAX_ITERATIONS:
-            raise ConvergenceError(f"no convergence in {iterations} iterations", best=-dual)
-        xi, si = 1.0 / x, 1.0 / s
-        q = 1.0 / (z * xi + w * si)
-        normal = (design1.T * q) @ design1
-        normal[np.diag_indices(d + 1)] += 1e-12 * np.trace(normal) / (d + 1)
-        factor, info = dpotrf(normal)
-        if info:
-            raise ConvergenceError("normal matrix is not positive definite", best=-dual)
-        # Predictor: the affine direction; it also restores design1.T @ lam = 0.
-        rhs = (q * (z - w) - x + 1.0 - level) @ design1
-        dy = dpotrs(factor, rhs)[0]
-        dx = q * (design1 @ dy - z + w)
-        dz, dw = -z * (dx * xi + 1.0), w * (dx * si - 1.0)
-        fp, fd = _max_step((x, dx), (s, -dx)), _max_step((z, dz), (w, dw))
-        if min(fp, fd) < 1.0:
-            # Corrector: Mehrotra's centring target mu plus the second-order terms.
-            mu = x @ z + s @ w
-            g = (x + fp * dx) @ (z + fd * dz) + (s - fp * dx) @ (w + fd * dw)
-            mu *= (g / mu) ** 3 / (2 * n)
-            dxdz, dsdw = dx * dz, -dx * dw
-            dr = q * (mu * (si - xi) + dxdz * xi - dsdw * si)
-            dy = dpotrs(factor, rhs + dr @ design1)[0]
-            dx = q * (design1 @ dy - z + w) - dr
-            dz, dw = (mu - dxdz - z * dx) * xi - z, (mu - dsdw + w * dx) * si - w
+    # Overflow and 0 / 0 are caught where they matter: the gap test fails on NaN and a
+    # non-finite normal matrix fails the positive-definiteness check.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iterations in range(MAX_ITERATIONS + 1):
+            resid = responses + design1 @ dual  # responses - design1 @ beta
+            if np.sum(np.maximum(resid, 0.0)) - x @ resid <= tol:  # gap of beta and lam; NaN fails
+                break
+            if iterations == MAX_ITERATIONS:
+                raise ConvergenceError(f"no convergence in {iterations} iterations", best=-dual)
+            xi, si = 1.0 / x, 1.0 / s
+            q = 1.0 / (z * xi + w * si)
+            normal = (design1.T * q) @ design1
+            normal[np.diag_indices(d + 1)] += 1e-12 * np.trace(normal) / (d + 1)
+            factor, info = dpotrf(normal)
+            if info:
+                raise ConvergenceError("normal matrix is not positive definite", best=-dual)
+            # Predictor: the affine direction; it also restores design1.T @ lam = 0.
+            rhs = (q * (z - w) - x + 1.0 - level) @ design1
+            dy = dpotrs(factor, rhs)[0]
+            dx = q * (design1 @ dy - z + w)
+            dz, dw = -z * (dx * xi + 1.0), w * (dx * si - 1.0)
             fp, fd = _max_step((x, dx), (s, -dx)), _max_step((z, dz), (w, dw))
-        x, s = x + fp * dx, s - fp * dx
-        dual, z, w = dual + fd * dy, z + fd * dz, w + fd * dw
+            if min(fp, fd) < 1.0:
+                # Corrector: Mehrotra's centring target mu plus the second-order terms.
+                mu = x @ z + s @ w
+                g = (x + fp * dx) @ (z + fd * dz) + (s - fp * dx) @ (w + fd * dw)
+                mu *= (g / mu) ** 3 / (2 * n)
+                dxdz, dsdw = dx * dz, -dx * dw
+                dr = q * (mu * (si - xi) + dxdz * xi - dsdw * si)
+                dy = dpotrs(factor, rhs + dr @ design1)[0]
+                dx = q * (design1 @ dy - z + w) - dr
+                dz, dw = (mu - dxdz - z * dx) * xi - z, (mu - dsdw + w * dx) * si - w
+                fp, fd = _max_step((x, dx), (s, -dx)), _max_step((z, dz), (w, dw))
+            x, s = x + fp * dx, s - fp * dx
+            dual, z, w = dual + fd * dy, z + fd * dz, w + fd * dw
     return QrModel(level=level, intercept=-float(dual[0]), coefficients=-dual[1:],
                    regularized=rank < d + 1, iterations=iterations)
 

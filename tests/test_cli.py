@@ -9,8 +9,15 @@ import pytest
 
 from adaptive_conformal import election, hmm
 from adaptive_conformal.cli import build_parser, main
+from adaptive_conformal.core import AciConfig
 from adaptive_conformal.election import generate_synthetic_counties
-from adaptive_conformal.io import read_trajectory, write_counties, write_prices, write_trajectory
+from adaptive_conformal.io import (
+    json_text,
+    read_trajectory,
+    write_counties,
+    write_prices,
+    write_trajectory,
+)
 from adaptive_conformal.volatility import GarchParams, simulate_garch_prices
 
 
@@ -104,17 +111,27 @@ class TestExitCodes:
             f"error: {flag} has {count} values; need 1 or --states = 3\n")
         assert not (tmp_path / "out" / "theory.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--epsilon", "--lipschitz"])
-    def test_infinite_bound_parameter_is_data_error(self, tmp_path, capsys, monkeypatch, flag):
+    SIMULATE_REJECTIONS = {
+        "--gamma=0": "stationary runs need a positive step size",
+        "--reps=99": "need at least 100 replications, got 99",
+        "--horizon=0": "horizon must be >= 1, got 0",
+        "--horizon=-3000": "horizon must be >= 1, got -3000",
+        "--epsilon=inf": "epsilon must be finite and positive, got inf",
+        "--lipschitz=inf": "lipschitz must be finite and positive, got inf",
+    }
+
+    @pytest.mark.parametrize("flag", SIMULATE_REJECTIONS)
+    def test_rejected_simulate_argument_fails_before_simulating(self, tmp_path, capsys,
+                                                                monkeypatch, flag):
         def no_simulation(*args):
-            raise AssertionError("simulated a run whose bounds cannot be evaluated")
+            raise AssertionError(f"simulated a run with {flag}")
 
         monkeypatch.setattr(hmm, "_blocks", no_simulation)
-        assert run(["simulate", "--horizon", "200", "--reps", "100", flag, "inf",
-                    "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {flag[2:]} must be finite and positive, got inf\n")
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        assert run(["simulate", "--horizon", "200", "--reps", "100", flag,
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {self.SIMULATE_REJECTIONS[flag]}\n"
+        assert not out.exists()
 
     def test_empty_epsilon_list_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -153,18 +170,6 @@ class TestExitCodes:
                     "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("horizon", ["0", "-3000"])
-    def test_horizon_below_one_fails_before_simulating(self, tmp_path, capsys, monkeypatch,
-                                                       horizon):
-        def no_simulation(*args):
-            raise AssertionError("simulated a run with horizon < 1")
-
-        monkeypatch.setattr(hmm, "_blocks", no_simulation)
-        assert run(["simulate", "--horizon", horizon, "--reps", "100",
-                    "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: horizon must be >= 1") and err.count("\n") == 1
-
     @pytest.mark.parametrize("gamma", ["1e-300", "5e-324"])
     def test_tiny_step_size_fails_before_simulating(self, tmp_path, capsys, monkeypatch, gamma):
         def no_simulation(*args):
@@ -194,6 +199,25 @@ class TestExitCodes:
         assert run(["simulate", *flags, "--horizon", "50", "--reps", "100", "--gamma", "0.5",
                     "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command,code", [
+        pytest.param(["election", "--synthetic", "620", "--covariates", "3",
+                      "--refit-every", "30", "--alpha", "1e-300"], 1, id="election-alpha-1e-300"),
+        pytest.param(["election", "--synthetic", "620", "--covariates", "3",
+                      "--refit-every", "30", "--alpha", "0.999999999"], 0,
+                     id="election-alpha-0.999999999"),
+        pytest.param(["volatility", "--synthetic", "300", "--window", "100",
+                      "--refit-every", "50", "--gamma", "1e308"], 0, id="volatility-gamma-1e308"),
+        pytest.param(["simulate", "--qhat-scale", "1e-320", "--horizon", "200", "--reps", "100"],
+                     0, id="simulate-qhat-scale-1e-320"),
+    ])
+    def test_extreme_valid_flags_print_no_warnings(self, tmp_path, capsys, command, code):
+        assert run(command + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_out_of_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -304,6 +328,16 @@ class TestVolatilityCommand:
         assert summary["prop_bound_value"] is None
         assert summary["prop_bound_satisfied"] is None
 
+    def test_huge_step_size_meets_its_bound(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["volatility", "--synthetic", "300", "--window", "100", "--refit-every", "50",
+                    "--gamma", "1e308", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["prop_bound_value"] == pytest.approx(1 / summary["n_steps"], rel=1e-11)
+        assert summary["prop_bound_satisfied"] is True
+        assert run(["report", "--in", str(out / "trajectory.csv")]) == 0
+        assert json.loads(capsys.readouterr().out) == summary
+
     @pytest.mark.parametrize("seed", ["0", "2", "5"])
     def test_short_window_refits_converge(self, tmp_path, seed):
         # Each seed has a 100-return window where scoring alone stalls at omega -> 0
@@ -368,6 +402,30 @@ class TestSimulateCommand:
         assert payload["spectral_gap"] == pytest.approx(0.2, abs=1e-9)
         assert "large_deviation_rhs_eps_0.05" in payload["bound_values"]
         assert "empirical_exceedance_eps_0.05" in payload["bound_values"]
+
+
+    SMALL_RUN = ["simulate", "--horizon", "200", "--reps", "100", "--epsilon", "0.05",
+                 "--gamma", "0.05", "--seed", "4"]
+
+    def test_theory_file_is_the_suite_record(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(self.SMALL_RUN + ["--out", str(out)]) == 0
+        spec = hmm.HmmSpec(hmm.symmetric_chain(2, 0.95), np.zeros(2), np.array([1.0, 2.0]))
+        record = hmm.theory_suite(spec, hmm.NormalQuantile(), AciConfig(0.1, 0.05), reps=100,
+                                  horizon=200, epsilons=[0.05], rng=np.random.default_rng(4))
+        assert (out / "theory.json").read_bytes() == json_text(record).encode("utf-8")
+
+    def test_config_echo_names_the_level_rule(self, tmp_path):
+        simple, weighted = tmp_path / "simple", tmp_path / "weighted"
+        assert run(self.SMALL_RUN + ["--out", str(simple)]) == 0
+        assert run(self.SMALL_RUN + ["--update", "weighted", "--decay", "0.9",
+                                     "--out", str(weighted)]) == 0
+        configs = [json.loads((out / "theory.json").read_text())["config"]
+                   for out in (simple, weighted)]
+        assert configs[0] == {"alpha": 0.1, "gamma": 0.05, "initial_level": 0.1,
+                              "update_rule": "simple", "decay": 0.95, "horizon": 200,
+                              "reps": 100}
+        assert configs[1] == {**configs[0], "update_rule": "weighted", "decay": 0.9}
 
 
 class TestReportCommand:

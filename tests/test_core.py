@@ -158,6 +158,10 @@ class TestPropBound:
         with pytest.raises(DomainError):
             prop_bound(AciConfig(0.1, 0.0), 100)
 
+    def test_huge_gamma_does_not_overflow(self):
+        # horizon * gamma overflows to inf; the bound itself is about 1 / horizon.
+        assert prop_bound(AciConfig(0.1, 1e308), 199) == pytest.approx(1 / 199, rel=1e-12)
+
 
 class TestEmpiricalMiscoverage:
     def test_fraction(self):

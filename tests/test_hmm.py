@@ -25,7 +25,6 @@ from adaptive_conformal.hmm import (
     BiasEstimate,
     HmmSpec,
     NormalQuantile,
-    TheoryReport,
     estimate_bias_terms,
     exceedance_levels,
     per_state_alpha_star,
@@ -68,6 +67,12 @@ class TestStationaryAndGap:
     def test_periodic_chain_not_ergodic(self):
         with pytest.raises(ErgodicityError):
             stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_chain_within_tolerance_of_the_circle_names_the_tolerance(self):
+        # Ergodic, but its second eigenvalue 2p - 1 lies within 1e-8 of the unit circle.
+        with pytest.raises(ErgodicityError, match=r"^chain has 2 eigenvalues within 1e-8 of "
+                           r"the unit circle; at that precision it has no unique stationary"):
+            stationary_distribution(symmetric_chain(2, 1.0 - 1e-9))
 
     def test_transient_state_gets_no_mass(self):
         # State 0 leaves at rate 0.01 and never returns: pi = (0, 2/3, 1/3).
@@ -491,15 +496,6 @@ class TestBoundEvaluators:
         assert bounds.lattice_check([0.1], 0.1, 0.005)
         assert bounds.lattice_check([0.1005], 0.1, 0.005)
         assert not bounds.lattice_check([0.1003], 0.1, 0.005)
-
-
-class TestTheoryReport:
-    def test_invariant_enforced(self):
-        with pytest.raises(ConfigurationError):
-            TheoryReport(
-                b_hat=0.1, sigma_b2_hat=0.02, spectral_gap=0.5,
-                alpha_star_by_state=np.array([0.1]),
-            )
 
 
 class TestLevelStationarity:
