@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracer.py rebinds election.linprog)
 
 from . import core
-from .conformal import CqrScore, calibration_scores
+from .conformal import CqrScore, PredictionInterval, calibration_scores
 from .conformal import empirical_quantile  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .errors import (ConfigurationError, ConvergenceError, DomainError, ExperimentAborted,
                      NoDataError)
@@ -299,22 +299,18 @@ def cqr_prediction_stream(
 def replay_prediction_stream(stream: CqrStream, aci_config: core.AciConfig) -> TrajectoryReport:
     """Run the adaptive-level recursion over a precomputed CQR stream.
 
-    Vote intervals are the affine image of the residual intervals through
-    ``y = y_prev * (1 + r)``; as ``y_prev > 0`` it maps an empty
-    ``(inf, -inf)`` entry to itself.
+    ``replay`` maps each threshold to its vote interval: the affine image of the
+    residual interval through ``y = y_prev * (1 + r)``. As ``y_prev > 0`` it maps an
+    empty ``(inf, -inf)`` entry to itself.
     """
     residual_sets = CqrScore(stream.q_lo, stream.q_hi)
     sets = [np.sort(calibration_scores(s)).tolist() for s in stream.cal_scores]
-    report = replay(
-        aci_config,
-        residual_sets.score(stream.residual),
-        lambda: (sets[k // stream.refit_every] for k in range(len(stream.labels))),
-        residual_sets.interval,
-        stream.labels,
-    )
-    return replace(
-        report,
-        lower=stream.y_prev * (1.0 + report.lower),
-        upper=stream.y_prev * (1.0 + report.upper),
-    )
+
+    def vote_sets(thresholds) -> PredictionInterval:
+        r = residual_sets.interval(thresholds)
+        return PredictionInterval(stream.y_prev * (1.0 + r.lower), stream.y_prev * (1.0 + r.upper))
+
+    return replay(aci_config, residual_sets.score(stream.residual),
+                  lambda: (sets[k // stream.refit_every] for k in range(len(stream.labels))),
+                  vote_sets, stream.labels)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
+from dataclasses import fields
 from datetime import date
 from io import StringIO
 from pathlib import Path
@@ -59,6 +61,18 @@ def _read_text(path) -> str:
         raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line=line) from None
 
 
+def _csv_rows(lines, numbers=range(1, sys.maxsize)):
+    """(file line, row) per CSV row; line k of ``lines``, from 0, is file line ``numbers[k]``."""
+    reader = csv.reader(lines)
+    done = 0  # lines read; a row starts on the next one, as a quoted field can span lines
+    try:
+        for row in reader:
+            yield numbers[done], row
+            done = reader.line_num
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise ParseError(str(exc), line=numbers[reader.line_num - 1]) from None
+
+
 def round_trip_floats(obj):
     """Round floats to the serialized 12-digit precision; non-finite to strings."""
     if isinstance(obj, float):
@@ -85,13 +99,13 @@ def write_json(path, payload: dict) -> None:
 
 def read_prices(path) -> tuple[list[str], np.ndarray]:
     """Parse a ``date,open`` file into (ISO dates, opens)."""
-    rows = list(csv.reader(StringIO(_read_text(path), newline="")))
-    if not rows or rows[0] != PRICE_HEADER:
+    rows = _csv_rows(StringIO(_read_text(path), newline=""))
+    if next(rows, (1, None))[1] != PRICE_HEADER:
         raise ParseError(f"expected header {','.join(PRICE_HEADER)!r}", line=1)
     dates: list[str] = []
     opens: list[float] = []
     prev: date | None = None
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows:
         if len(row) != 2:
             raise ParseError(f"expected 2 columns, got {len(row)}", line=i)
         try:
@@ -132,15 +146,15 @@ def read_counties(path):
     """Parse an ``id,population,x1..xd,y_prev,y`` table into CountyRecord rows."""
     from .election import CountyRecord  # deferred: importing io loads no scipy
 
-    rows = list(csv.reader(StringIO(_read_text(path), newline="")))
-    if not rows:
+    rows = _csv_rows(StringIO(_read_text(path), newline=""))
+    _, header = next(rows, (1, None))
+    if header is None:
         raise ParseError("empty file", line=1)
-    header = rows[0]
     d = len(header) - 4
     if d < 1 or header != _county_header(d):
         raise ParseError("expected header id,population,x1,...,xd,y_prev,y", line=1)
     records = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows:
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=i)
         _require_one_line("id", row[0], line=i)
@@ -155,6 +169,8 @@ def read_counties(path):
 
 
 def write_counties(path, counties) -> None:
+    for c in counties:
+        _require_one_line("id", c.id)
     d = len(counties[0].covariates) if counties else 1
     rows = [[c.id, *map(format_number, [c.population, *c.covariates, c.y_prev, c.y])]
             for c in counties]
@@ -162,17 +178,14 @@ def write_counties(path, counties) -> None:
 
 
 def _config_meta(config: AciConfig) -> str:
-    def exact(x: float) -> str:  # the 12-digit form when it reads back exactly
+    """``# aci`` and one ``name=value`` token per ``AciConfig`` field, in field order."""
+    def text(x) -> str:  # a number in the 12-digit form when it reads back exactly
+        if isinstance(x, str):
+            return x
         return format_number(x) if float(format_number(x)) == x else repr(float(x))
 
-    return (
-        "# aci"
-        f" target_miscoverage={exact(config.target_miscoverage)}"
-        f" step_size={exact(config.step_size)}"
-        f" initial_level={exact(config.initial_level)}"
-        f" update_rule={config.update_rule}"
-        f" decay={exact(config.decay)}"
-    )
+    return " ".join(["# aci", *(f"{f.name}={text(getattr(config, f.name))}"
+                                for f in fields(config))])
 
 
 def write_trajectory(path, report: TrajectoryReport, local_window: int) -> None:
@@ -213,21 +226,12 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     """Inverse of ``write_trajectory``; returns the report and local window."""
     raw = _read_text(path).splitlines()
     meta = _parse_meta([(i, l) for i, l in enumerate(raw, start=1) if l.startswith("#")])
-    required = {"target_miscoverage", "step_size", "initial_level", "update_rule", "decay"}
-    if not required <= meta.keys():
+    names = [f.name for f in fields(AciConfig)]
+    if not set(names) <= meta.keys():
         raise ParseError("missing configuration comment lines", line=1)
-
-    def number(key: str) -> float:
-        return parse_number(*meta[key])
-
     try:
-        config = AciConfig(
-            target_miscoverage=number("target_miscoverage"),
-            step_size=number("step_size"),
-            initial_level=number("initial_level"),
-            update_rule=meta["update_rule"][0],
-            decay=number("decay"),
-        )
+        config = AciConfig(**{name: meta[name][0] if name == "update_rule"
+                              else parse_number(*meta[name]) for name in names})
     except ConfigurationError as exc:
         raise ValidationError(str(exc), line=meta["update_rule"][1]) from None
     window_text, window_line = meta.get("local_window", ("0", 1))
@@ -237,12 +241,12 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
         raise ParseError(f"local_window is not an integer: {window_text!r}",
                          line=window_line) from None
     numbers = [i for i, l in enumerate(raw, start=1) if not l.startswith("#")]
-    rows = csv.reader(raw[i - 1] for i in numbers)
-    if next(rows, None) != TRAJECTORY_HEADER:
-        line = numbers[0] if numbers else 1
+    rows = _csv_rows([raw[i - 1] for i in numbers], numbers)
+    line, header = next(rows, (1, None))
+    if header != TRAJECTORY_HEADER:
         raise ParseError(f"expected header {','.join(TRAJECTORY_HEADER)!r}", line=line)
     labels, alphas, errs, lower, upper = [], [], [], [], []
-    for t, (i, row) in enumerate(zip(numbers[1:], rows), start=1):
+    for t, (i, row) in enumerate(rows, start=1):
         if len(row) != len(TRAJECTORY_HEADER):
             raise ParseError(f"expected {len(TRAJECTORY_HEADER)} columns, got {len(row)}", line=i)
         if row[0] != str(t):
@@ -252,14 +256,12 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
         if row[3] not in ("0", "1"):
             raise ValidationError(f"err must be 0 or 1, got {row[3]}", line=i)
         errs.append(row[3] == "1")
-        lower.append(parse_number(row[4], i))
-        upper.append(parse_number(row[5], i))
+        lo, hi = parse_number(row[4], i), parse_number(row[5], i)
+        if lo != lo or hi != hi:  # nan
+            raise ValidationError("interval bounds must not be nan", line=i)
+        lower.append(lo)
+        upper.append(hi)
         if row[6] and not 0.0 <= parse_number(row[6], i) <= 1.0:
             raise ValidationError(f"local_cov must be blank or in [0, 1], got {row[6]}", line=i)
-    report = TrajectoryReport(errs=errs, alphas=alphas, lower=lower, upper=upper,
-                              step_labels=tuple(labels), config_echo=config)
-    nan_rows = np.flatnonzero(np.isnan(report.lower) | np.isnan(report.upper))
-    if nan_rows.size:
-        raise ValidationError("interval bounds must not be nan", line=numbers[1 + nan_rows[0]])
-    return report, local_window
-
+    return TrajectoryReport(errs=errs, alphas=alphas, lower=lower, upper=upper,
+                            step_labels=tuple(labels), config_echo=config), local_window

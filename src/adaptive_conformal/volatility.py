@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, insort
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  (perfbench/tracer.py rebinds it)
@@ -223,12 +223,12 @@ def _search(y: np.ndarray, returns: np.ndarray, s0: float):
     return nll, grad, y, MAX_ITER
 
 
-def _result(run, returns: np.ndarray, s0: float, iterations: int):
+def _result(run, returns: np.ndarray, s0: float, iterations: int, warm: bool = False):
     """The fit a search ended at, and its KKT gap."""
     nll, grad, y, _ = run
     w, a, b = y.tolist()
     params = GarchParams(s0 * w, a, b)
-    fit = GarchFit(params, garch_sigma2_path(params, returns, s0), float(nll), iterations)
+    fit = GarchFit(params, garch_sigma2_path(params, returns, s0), float(nll), iterations, warm)
     return fit, _kkt(y, nll, grad, s0)[1]
 
 
@@ -260,9 +260,9 @@ def fit_garch(returns, start: GarchParams | None = None) -> GarchFit:
     if start is not None and returns.size >= WARM_MIN_LENGTH:
         y = np.array([start.omega / sample_var, start.arch_coef, start.garch_coef])
         run = _search(y, returns, sample_var)
-        fit, gap = _result(run, returns, sample_var, run[3])
+        fit, gap = _result(run, returns, sample_var, run[3], warm=True)
         if gap <= GRADIENT_TOL:
-            return replace(fit, warm=True)
+            return fit
         iterations = run[3]
     runs = [_search(np.array([1.0 - a0 - b0, a0, b0]), returns, sample_var)
             for a0, b0 in COLD_STARTS]

@@ -242,6 +242,27 @@ class TestExitCodes:
         assert run(command + [source, str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: line 3: ")
 
+    @pytest.mark.parametrize("command,text,line", [
+        pytest.param(["volatility", "--window", "60", "--prices"],
+                     "date,open\n2020-01-01,10\n2020-01-02,{field}\n", 3, id="volatility"),
+        pytest.param(["election", "--warmup", "500", "--counties"],
+                     "id,population,x1,y_prev,y\nc1,10,0.5,5,6\nc2,{field},0.5,5,6\n", 3,
+                     id="election"),
+        pytest.param(["report", "--in"],
+                     "# aci target_miscoverage=0.1 step_size=0.005 initial_level=0.1 "
+                     "update_rule=simple decay=0.95\n# run local_window=4\n"
+                     "t,label,alpha_t,err,lower,upper,local_cov\n1,{field},0.1,0,0,1,\n", 4,
+                     id="report"),
+    ])
+    def test_field_over_csv_limit_is_a_one_line_error(self, tmp_path, capsys, command, text,
+                                                      line):
+        path = tmp_path / "input.csv"
+        path.write_text(text.format(field="9" * 131073))
+        assert run(command + [str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line {line}: field larger than field limit (131072)\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--warmup", "-5", "warmup = -5 with cal_frac = 0.25"),
         ("--cal-frac", "0.999", "warmup = 500 with cal_frac = 0.999"),

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,3 +317,33 @@ class TestExperiment:
         counties, order = self._setup(n=100)
         with pytest.raises(NoDataError):
             self._run(counties, order, 0, warmup=500)
+
+
+def _small_stream(ordering=tuple(range(12)), alpha=0.1, **kwargs):
+    """A CQR stream over 12 counties, 8 of them warm-up; the checks run before any fit."""
+    counties = generate_synthetic_counties(12, 2, seed=0)
+    return cqr_prediction_stream(counties, list(ordering), alpha, warmup=8,
+                                 rng=np.random.default_rng(0), **kwargs)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,error,message", [
+        pytest.param(lambda: fit_quantile_regression(np.zeros((5, 1)), np.zeros(4), 0.5),
+                     ConfigurationError, "responses must be one value per design row",
+                     id="response-count"),
+        pytest.param(lambda: fit_quantile_regression(np.zeros((5, 1)), np.zeros(5), 1.0),
+                     DomainError, "level must lie in (0, 1), got 1.0", id="qr-level"),
+        pytest.param(lambda: sample_ordering([], 1.0, np.random.default_rng(0)), NoDataError,
+                     "empty population vector", id="no-populations"),
+        pytest.param(lambda: generate_synthetic_counties(5, 0), ConfigurationError,
+                     "need n >= 0 counties and d >= 1 covariates", id="no-covariates"),
+        pytest.param(lambda: _small_stream(refit_every=0), ConfigurationError,
+                     "refit_every must be >= 1", id="refit-every"),
+        pytest.param(lambda: _small_stream(alpha=1.0), ConfigurationError,
+                     "alpha must lie in (0, 1), got 1.0", id="stream-alpha"),
+        pytest.param(lambda: _small_stream(ordering=[0] * 12), ConfigurationError,
+                     "ordering must be a permutation of the county indices", id="ordering"),
+    ])
+    def test_rejects_bad_arguments(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -125,6 +125,22 @@ class TestSimulation:
         with pytest.raises(ConfigurationError):
             two_state_spec(means=means, scales=scales)
 
+    @pytest.mark.parametrize("transition,means,scales,message", [
+        pytest.param(np.full((2, 3), 1 / 3), (0.0, 0.0), (1.0, 1.0),
+                     "transition must be a square matrix", id="not-square"),
+        pytest.param([[1.5, -0.5], [0.5, 0.5]], (0.0, 0.0), (1.0, 1.0),
+                     "transition entries must be nonnegative", id="negative-entry"),
+        pytest.param([[0.5, 0.4], [0.5, 0.5]], (0.0, 0.0), (1.0, 1.0),
+                     "transition rows must sum to 1", id="row-sum"),
+        pytest.param(symmetric_chain(2, 0.9), (0.0, 0.0, 0.0), (1.0, 1.0),
+                     "need one score mean and scale per state", id="mean-count"),
+        pytest.param(symmetric_chain(2, 0.9), (0.0, 0.0), (1.0, 0.0),
+                     "score scales must be positive", id="zero-scale"),
+    ])
+    def test_spec_rejects_bad_parameters(self, transition, means, scales, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            HmmSpec(np.asarray(transition), np.array(means), np.array(scales))
+
     def test_batch_marginals_match_stationary(self):
         spec = two_state_spec(p=0.8)
         states, _ = simulate_hmm_batch(spec, 400, 300, np.random.default_rng(5))
@@ -458,6 +474,43 @@ class TestBiasEstimation:
         assert step > BLOCK
         _, scores = simulate_hmm_batch(spec, 1000 + 3000, 100, np.random.default_rng(0))
         assert not np.isfinite(scores[rep - 1, step - 1])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,error,message", [
+        pytest.param(lambda: symmetric_chain(1, 0.9), DomainError,
+                     "need at least 2 states, got 1", id="one-state-chain"),
+        pytest.param(lambda: simulate_hmm_batch(two_state_spec(), 0, 1, np.random.default_rng(0)),
+                     ConfigurationError, "horizon and reps must be >= 1", id="empty-batch"),
+        pytest.param(lambda: per_state_alpha_star(two_state_spec(), NormalQuantile(), 1.0),
+                     DomainError, "alpha must lie in (0, 1), got 1.0", id="alpha-star-level"),
+        # State 0 is transient: the stationary start never puts a path there.
+        pytest.param(lambda: estimate_bias_terms(
+            HmmSpec(np.array([[0.99, 0.01, 0.0], [0.0, 0.9, 0.1], [0.0, 0.2, 0.8]]),
+                    np.zeros(3), np.ones(3)),
+            NormalQuantile(), AciConfig(0.1, 0.05), 100, np.random.default_rng(0), 50),
+                     DomainError, "state 0 was never visited; increase reps or horizon",
+                     id="unvisited-state"),
+        pytest.param(lambda: bounds.large_deviation_rhs(0, 0.05, 0.8, 0.01, 0.1), DomainError,
+                     "horizon must be >= 1, got 0", id="ld-horizon"),
+        pytest.param(lambda: bounds.large_deviation_rhs(1000, 0.05, 1.0, 0.01, 0.1), DomainError,
+                     "eta must lie in [0, 1), got 1.0", id="ld-eta"),
+        pytest.param(lambda: bounds.large_deviation_rhs(1000, 0.05, 0.8, -0.01, 0.1),
+                     DomainError, "bias moments must be nonnegative", id="ld-moments"),
+        pytest.param(lambda: bounds.regret_rhs(1.0, 0.005, -0.001), DomainError,
+                     "delta_mean must be nonnegative, got -0.001", id="regret-delta"),
+        pytest.param(lambda: bounds.gamma_star(-0.001), DomainError,
+                     "delta_mean must be nonnegative, got -0.001", id="gamma-star-delta"),
+        pytest.param(lambda: bounds.ideal_expectation(0, 0.5, 0.005, 0.1), DomainError,
+                     "t must be >= 1, got 0", id="ideal-t"),
+        pytest.param(lambda: bounds.lattice_check([0.1], 1.0, 0.005), DomainError,
+                     "alpha must lie in (0, 1), got 1.0", id="lattice-alpha"),
+        pytest.param(lambda: bounds.lattice_check([0.1], 0.1, 0.0), DomainError,
+                     "gamma must be positive, got 0.0", id="lattice-gamma"),
+    ])
+    def test_rejects_bad_arguments(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestBoundEvaluators:

@@ -1,7 +1,7 @@
 import math
 import string
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,10 @@ def make_report(n=120, seed=0, gamma=0.005):
         step_labels=tuple(f"label-{i}" for i in range(n)),
         config_echo=AciConfig(0.1, gamma),
     )
+
+
+#: One character past the longest field the csv module reads by default.
+OVERSIZED = "9" * 131073
 
 
 def write_lines(path, lines):
@@ -87,6 +91,7 @@ class TestPrices:
         pytest.param("2020-01-02,nan", ValidationError, id="nan-price"),
         pytest.param("2020-01-02,1\udcff", ParseError, id="not-utf8"),
         pytest.param("2020-\udcff1-02,10", ParseError, id="not-utf8-date"),
+        pytest.param(f"2020-01-02,{OVERSIZED}", ParseError, id="field-over-csv-limit"),
     ])
     def test_bad_row_names_line(self, tmp_path, row, error):
         path = tmp_path / "bad.csv"
@@ -94,6 +99,12 @@ class TestPrices:
         with pytest.raises(error) as err:
             read_prices(path)
         assert err.value.line == 3
+
+    def test_rows_after_a_quoted_line_break_keep_their_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('date,open\n2000-01-01,"5\n"\n2000-01-02,6\n2000-01-03,x\n')
+        with pytest.raises(ParseError, match="^line 5: not a number: 'x'$"):
+            read_prices(path)
 
 
 class TestCounties:
@@ -139,6 +150,7 @@ class TestCounties:
         pytest.param(0, "c\udcff", ParseError, id="not-utf8"),
         pytest.param(0, '"c\n2"', ValidationError, id="line-break-in-id"),
         pytest.param(0, "c\x1c2", ValidationError, id="separator-in-id"),
+        pytest.param(2, OVERSIZED, ParseError, id="field-over-csv-limit"),
     ])
     def test_bad_row_names_line(self, tmp_path, column, value, error):
         path = tmp_path / "bad.csv"
@@ -148,6 +160,22 @@ class TestCounties:
         with pytest.raises(error) as err:
             read_counties(path)
         assert err.value.line == 3
+
+    def test_rows_after_a_quoted_line_break_keep_their_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('id,population,x1,y_prev,y\nc1,10,"0.5\n",5,6\nc2,10,0.5,5,6\n'
+                        'c3,0,0.5,5,6\n')
+        with pytest.raises(ValidationError, match="^line 5: population must be positive"):
+            read_counties(path)
+
+    @pytest.mark.parametrize("county_id", ["a\nb", "a\x1cb", "a\rb"])
+    def test_id_with_line_break_rejected_on_write(self, tmp_path, county_id):
+        # "a\rb" is the id csv quoting would not save: it is written unquoted.
+        counties = generate_synthetic_counties(3, 1, seed=0)
+        counties[1] = replace(counties[1], id=county_id)
+        with pytest.raises(ValidationError, match="^id must not hold a line break"):
+            write_counties(tmp_path / "c.csv", counties)
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestTrajectory:
@@ -192,6 +220,23 @@ class TestTrajectory:
         with pytest.raises(ParseError):
             read_trajectory(path)
 
+    def test_config_comment_has_one_token_per_field_in_field_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10, gamma=0.1 + 0.2), local_window=4)
+        assert path.read_text().splitlines()[0] == (
+            "# aci target_miscoverage=0.1 step_size=0.30000000000000004 initial_level=0.1 "
+            "update_rule=simple decay=0.95")
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(AciConfig)])
+    def test_missing_config_field_rejected(self, tmp_path, name):
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10), local_window=4)
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(t for t in lines[0].split() if not t.startswith(f"{name}="))
+        write_lines(path, lines)
+        with pytest.raises(ParseError, match="^line 1: missing configuration comment lines$"):
+            read_trajectory(path)
+
     @pytest.mark.parametrize("old,new,line", [
         ("target_miscoverage=0.1", "target_miscoverage=abc", 1),
         ("local_window=4", "local_window=x", 2),
@@ -225,6 +270,7 @@ class TestTrajectory:
         pytest.param(6, "1.5", ValidationError, id="local-cov-above-one"),
         pytest.param(6, "nan", ValidationError, id="local-cov-nan"),
         pytest.param(1, "label-\udcff", ParseError, id="not-utf8"),
+        pytest.param(1, OVERSIZED, ParseError, id="field-over-csv-limit"),
     ])
     def test_bad_row_names_line(self, tmp_path, column, value, error):
         path = tmp_path / "t.csv"
@@ -237,6 +283,21 @@ class TestTrajectory:
         with pytest.raises(error) as err:
             read_trajectory(path)
         assert err.value.line == 6
+
+    @pytest.mark.parametrize("column", [4, 5])
+    def test_rows_after_a_quoted_line_break_keep_their_line(self, tmp_path, column):
+        # A label quoted across lines 5 and 6; the nan bound is in the row on line 8.
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10), local_window=4)
+        lines = path.read_text().splitlines()
+        before, after = lines[4].split("label-1", 1)
+        lines[4:5] = [f'{before}"label', f'-1"{after}']
+        row = lines[7].split(",")
+        row[column] = "nan"
+        lines[7] = ",".join(row)
+        write_lines(path, lines)
+        with pytest.raises(ValidationError, match="^line 8: interval bounds must not be nan$"):
+            read_trajectory(path)
 
     @pytest.mark.parametrize("label", ["a\nb", "a\r\nb", "a\rb", "a\x1cb", "a\u2028b"])
     def test_label_with_line_break_rejected(self, tmp_path, label):

@@ -27,6 +27,17 @@ def make_report(errs, alpha=0.1, gamma=0.005, update_rule="simple"):
     )
 
 
+class TestTrajectoryReport:
+    @pytest.mark.parametrize("field", ["alphas", "lower", "upper", "step_labels"])
+    def test_fields_of_unequal_length_rejected(self, field):
+        report = make_report(np.zeros(5))
+        columns = {name: getattr(report, name) for name in
+                   ("errs", "alphas", "lower", "upper", "step_labels", "config_echo")}
+        columns[field] = columns[field][:4]
+        with pytest.raises(ConfigurationError, match="^trajectory fields must have equal length$"):
+            TrajectoryReport(**columns)
+
+
 class TestLocalCoverage:
     def test_all_covered(self):
         out = local_coverage(np.zeros(600), 500)
@@ -95,6 +106,11 @@ class TestBernoulliBand:
     def test_too_few_reps(self):
         with pytest.raises(ConfigurationError):
             bernoulli_band(600, 0.1, 500, 50, 0.99, np.random.default_rng(0))
+
+    def test_band_quantile_outside_unit_interval(self):
+        message = r"^band_quantile must lie in \(0, 1\), got 1.0$"
+        with pytest.raises(ConfigurationError, match=message):
+            bernoulli_band(600, 0.1, 500, 100, 1.0, np.random.default_rng(0))
 
 
 class TestSummarize:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import astuple
 from itertools import product
 
@@ -565,3 +566,39 @@ class TestExperiment:
                 ExperimentAborted, match="^GARCH refit failed at step 20: ") as err:
             run_volatility_experiment(prices, self.CONFIG, window=60, refit_every=10)
         assert isinstance(err.value.__cause__, DomainError)
+
+
+PARAMS = GarchParams(2e-6, 0.08, 0.9)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,error,message", [
+        pytest.param(lambda: garch_sigma2_path(PARAMS, []), NoDataError,
+                     "empty return series", id="empty-variance-path"),
+        pytest.param(lambda: simulate_garch_returns(0, PARAMS, _rng()), ConfigurationError,
+                     "need at least one return", id="no-returns"),
+        pytest.param(lambda: simulate_garch_returns(10, [(5, PARAMS)], _rng()),
+                     ConfigurationError, "the first regime must start at index 0",
+                     id="late-first-regime"),
+        pytest.param(lambda: simulate_garch_returns(10, [], _rng()), ConfigurationError,
+                     "the first regime must start at index 0", id="no-regimes"),
+        pytest.param(lambda: simulate_garch_prices(1, PARAMS, _rng()), ConfigurationError,
+                     "need at least two days of prices", id="one-day"),
+        # A return variance of 10 gives returns below -1 within 100 days.
+        pytest.param(lambda: simulate_garch_prices(100, GarchParams(10.0, 0.0, 0.0), _rng()),
+                     DomainError, "simulated returns drove the price nonpositive; shrink omega",
+                     id="nonpositive-price"),
+        pytest.param(lambda: default_regime_prices(99, _rng()), ConfigurationError,
+                     "the demo series needs at least 100 days", id="short-demo-series"),
+        pytest.param(lambda: run_volatility_experiment(simulate_garch_prices(50, PARAMS, _rng()),
+                                                       AciConfig(0.1), labels=["a"]),
+                     ConfigurationError, "labels must have one entry per return",
+                     id="label-count"),
+    ])
+    def test_rejects_bad_arguments(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
