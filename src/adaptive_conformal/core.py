@@ -100,23 +100,22 @@ def next_level(config: AciConfig, level, err, num, den):
 
 
 def run_level_steps(config: AciConfig, levels, strict: bool, carry):
-    """The level recursion over exceedance levels: the one loop every runner goes through.
+    """The level recursion over exceedance levels, one numpy column per step.
 
-    Step t misses when ``levels[t] > 1 - alpha_t`` (``strict``), else when
-    ``levels[t] >= 1 - alpha_t``; as in ``update``, it never misses at alpha_t < 0
-    and always misses at alpha_t >= 1. A 1-D row runs on Python floats; the rows of a
-    (reps, steps) block evolve independently on numpy columns. ``carry`` is the
-    ``(level, num, den)`` in force before the first step, so consecutive time blocks
-    run as one trajectory. Returns (alphas, errs, carry after the last step), the
-    arrays laid out like ``levels``; ``alphas[..., t]`` is in force at step t.
+    Step t misses when ``levels[..., t] > 1 - alpha_t`` (``strict``), else when
+    ``levels[..., t] >= 1 - alpha_t``; as in ``update``, it never misses at alpha_t < 0
+    and always misses at alpha_t >= 1. The rows of a (reps, steps) block evolve
+    independently; a 1-D input is one row. ``carry`` is the ``(level, num, den)`` in
+    force before the first step, so consecutive time blocks run as one trajectory.
+    Returns (alphas, errs, carry after the last step), the arrays laid out like
+    ``levels``; ``alphas[..., t]`` is in force at step t.
     """
     levels = np.asarray(levels, dtype=float)
     alphas = np.empty_like(levels)
     errs = np.empty_like(levels, dtype=np.int8)
     alpha_out, err_out = alphas.T, errs.T  # step t fills column t (a row's .T is the row)
-    row = levels.ndim == 1  # a float step costs far less than a one-entry numpy step
     a, num, den = carry
-    for t, u in enumerate(levels.tolist() if row else levels.T):
+    for t, u in enumerate(levels.T):
         # Levels lie in [0, 1], so the strict comparison already gives no error
         # at a < 0 and the non-strict one an error at a >= 1. Each needs a guard
         # at its other end: 1 - a rounds to 1 for tiny negative a, and at a = 1 a
@@ -131,8 +130,7 @@ def run_level_steps(config: AciConfig, levels, strict: bool, carry):
 def run_level_batch(config: AciConfig, levels, strict: bool) -> tuple[np.ndarray, np.ndarray]:
     """``run_level_steps`` from the configured initial level: (alphas, errs) of whole runs."""
     levels = np.asarray(levels, dtype=float)
-    a = (config.initial_level if levels.ndim == 1
-         else np.full(levels.shape[0], float(config.initial_level)))
+    a = np.full(levels.shape[:-1], float(config.initial_level))
     alphas, errs, _ = run_level_steps(config, levels, strict, (a, 0.0, 0.0))
     return alphas, errs
 

@@ -311,6 +311,6 @@ def replay_prediction_stream(stream: CqrStream, aci_config: core.AciConfig) -> T
         return PredictionInterval(stream.y_prev * (1.0 + r.lower), stream.y_prev * (1.0 + r.upper))
 
     return replay(aci_config, residual_sets.score(stream.residual),
-                  lambda: (sets[k // stream.refit_every] for k in range(len(stream.labels))),
+                  (sets[k // stream.refit_every] for k in range(len(stream.labels))),
                   vote_sets, stream.labels)
 

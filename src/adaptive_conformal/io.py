@@ -56,8 +56,8 @@ def _read_text(path) -> str:
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+    except UnicodeDecodeError as exc:  # lines end as csv ends them: \n, \r\n or a lone \r
+        line = len(list(StringIO(data[: exc.start + 1].decode("utf-8", "replace"), newline="")))
         raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line=line) from None
 
 
@@ -81,8 +81,6 @@ def round_trip_floats(obj):
         return format_number(obj)
     if isinstance(obj, dict):
         return {k: round_trip_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_trip_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [round_trip_floats(float(v)) for v in obj]
     return obj
@@ -224,7 +222,7 @@ def _parse_meta(lines: list[tuple[int, str]]) -> dict[str, tuple[str, int]]:
 
 def read_trajectory(path) -> tuple[TrajectoryReport, int]:
     """Inverse of ``write_trajectory``; returns the report and local window."""
-    raw = _read_text(path).splitlines()
+    raw = [line.rstrip("\r\n") for line in StringIO(_read_text(path), newline="")]
     meta = _parse_meta([(i, l) for i, l in enumerate(raw, start=1) if l.startswith("#")])
     names = [f.name for f in fields(AciConfig)]
     if not set(names) <= meta.keys():
@@ -251,6 +249,7 @@ def read_trajectory(path) -> tuple[TrajectoryReport, int]:
             raise ParseError(f"expected {len(TRAJECTORY_HEADER)} columns, got {len(row)}", line=i)
         if row[0] != str(t):
             raise ValidationError(f"t must be the row number {t}, got {row[0]!r}", line=i)
+        _require_one_line("label", row[1], line=i)
         labels.append(row[1])
         alphas.append(parse_finite(row[2], i))
         if row[3] not in ("0", "1"):

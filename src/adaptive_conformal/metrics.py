@@ -8,13 +8,12 @@ defined where the full window fits and has length ``n - w + 1``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import quantile_rank, realized_scores
-from .core import WEIGHTED, AciConfig, prop_bound, run_level_batch
+from .core import WEIGHTED, AciConfig, next_level, prop_bound
 from .errors import ConfigurationError, NoDataError
 
 #: Centered-window sizes used by the two experiment pipelines.
@@ -66,21 +65,23 @@ class TrajectoryReport:
 def replay(config: AciConfig, scores, calibration, interval, labels) -> TrajectoryReport:
     """Run the adaptive-level recursion over a level-independent prediction stream.
 
-    Step ``t`` realizes ``scores[t]`` against ``cal``, the ``t``-th sorted list that
-    ``calibration()`` yields, and misses when its exceedance rank ``#{cal < score} / n``
-    is at least ``1 - alpha_t``: exactly when it exceeds the threshold ``cal[k - 1]``,
-    ``k = quantile_rank(n, 1 - alpha_t)``. The threshold is ``+inf`` (the whole line)
-    when ``alpha_t < 0``, decided on ``alpha_t`` because ``1 - alpha_t`` rounds to 1
-    for tiny negative levels, and ``-inf`` (the empty set) when ``alpha_t >= 1``. One
-    ``interval(thresholds)`` call maps it to the interval columns, so a bit and its
-    interval cannot disagree. A non-finite score raises ``DomainError``.
+    ``calibration`` is read once, one sorted list ``cal`` of ``n`` scores per step.
+    Step ``t`` thresholds at ``cal[quantile_rank(n, 1 - alpha_t) - 1]``, at ``+inf``
+    (the whole line) when ``alpha_t < 0``, decided on ``alpha_t`` because
+    ``1 - alpha_t`` rounds to 1 for tiny negative levels, and at ``-inf`` (the empty
+    set) when ``alpha_t >= 1``; it misses when ``scores[t]`` exceeds the threshold.
+    One ``interval(thresholds)`` call maps the thresholds to the interval columns, so
+    a bit and its interval cannot disagree. A non-finite score raises ``DomainError``.
     """
-    scores = realized_scores(scores)
-    ranks = [bisect_left(cal, s) / len(cal) for s, cal in zip(scores.tolist(), calibration())]
-    alphas, errs = run_level_batch(config, np.array(ranks), False)
-    thresholds = [math.inf if a < 0.0 else -math.inf if a >= 1.0
-                  else cal[quantile_rank(len(cal), 1.0 - a) - 1]
-                  for a, cal in zip(alphas.tolist(), calibration())]
+    a, num, den = config.initial_level, 0.0, 0.0
+    alphas, errs, thresholds = [], [], []
+    for s, cal in zip(realized_scores(scores).tolist(), calibration):
+        q = (math.inf if a < 0.0 else -math.inf if a >= 1.0
+             else cal[quantile_rank(len(cal), 1.0 - a) - 1])
+        alphas.append(a)
+        errs.append(s > q)
+        thresholds.append(q)
+        a, num, den = next_level(config, a, errs[-1], num, den)
     sets = interval(np.array(thresholds))
     return TrajectoryReport(errs=errs, alphas=alphas, lower=sets.lower, upper=sets.upper,
                             step_labels=tuple(labels), config_echo=config)

@@ -422,7 +422,7 @@ def replay_forecast_stream(
     return replay(
         aci_config,
         history[window:],
-        lambda: _sorted_windows(history, window),
+        _sorted_windows(history, window),
         NormalizedScore(sigma2).interval,
         labels[window : history.size],
     )

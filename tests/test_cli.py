@@ -359,6 +359,16 @@ class TestVolatilityCommand:
         assert run(["report", "--in", str(out / "trajectory.csv")]) == 0
         assert json.loads(capsys.readouterr().out) == summary
 
+    def test_frozen_level_writes_an_infinite_bound(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["volatility", "--synthetic", "300", "--window", "100", "--refit-every", "50",
+                    "--gamma", "0", "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert '"prop_bound_value": "inf"' in text
+        assert json.loads(text)["prop_bound_satisfied"] is True
+        assert run(["report", "--in", str(out / "trajectory.csv")]) == 0
+        assert capsys.readouterr().out == text
+
     @pytest.mark.parametrize("seed", ["0", "2", "5"])
     def test_short_window_refits_converge(self, tmp_path, seed):
         # Each seed has a 100-return window where scoring alone stalls at omega -> 0

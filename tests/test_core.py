@@ -154,6 +154,10 @@ class TestPropBound:
         cfg = AciConfig(0.1, gamma, initial_level=alpha1)
         assert prop_bound(cfg, horizon) == pytest.approx(expected, rel=1e-12)
 
+    def test_horizon_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="^horizon must be >= 1, got 0$"):
+            prop_bound(AciConfig(0.1, 0.005), 0)
+
     def test_zero_gamma_is_undefined(self):
         with pytest.raises(DomainError):
             prop_bound(AciConfig(0.1, 0.0), 100)

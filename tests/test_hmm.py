@@ -194,7 +194,7 @@ def normal_threshold_loop(scores, qhat, config):
 def snapshot_runner(scores, snapshot, config):
     """The fixed empirical-quantile runner: ``metrics.replay`` over one constant sorted set."""
     cal = sorted(snapshot)
-    return replay(config, scores, lambda: itertools.repeat(cal),
+    return replay(config, scores, itertools.repeat(cal),
                   lambda t: PredictionInterval(np.full(t.shape, -math.inf), t),
                   [str(t + 1) for t in range(len(scores))])
 
@@ -527,6 +527,11 @@ class TestBoundEvaluators:
         # An infinite epsilon would make the second exponent -inf / inf = nan.
         with pytest.raises(DomainError, match="epsilon must be finite and positive"):
             bounds.large_deviation_rhs(1000, math.inf, 0.8, 0.01, 0.1)
+
+    def test_large_deviation_without_bias_keeps_only_the_first_term(self):
+        # b = sigma_b2 = 0 zeroes the second term's denominator; that term is then 0.
+        value = bounds.large_deviation_rhs(1000, 0.05, 0.8, 0.0, 0.0)
+        assert value == 2.0 * math.exp(-1000 * 0.05**2 / 8.0)
 
     def test_regret_values(self):
         assert bounds.regret_rhs(1.0, 0.005, 0.001) == pytest.approx(0.2035, abs=1e-12)

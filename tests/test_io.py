@@ -1,4 +1,5 @@
 import math
+import re
 import string
 import tempfile
 from dataclasses import fields, replace
@@ -106,6 +107,29 @@ class TestPrices:
         with pytest.raises(ParseError, match="^line 5: not a number: 'x'$"):
             read_prices(path)
 
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("date,open\n2020-01-01,10,5\n", "line 2: expected 2 columns, got 3",
+                     id="extra-column"),
+        pytest.param("date,open\n2020-01-01,10\n2020-13-01,11\n",
+                     "line 3: bad ISO date: '2020-13-01'", id="bad-date"),
+        pytest.param("date,open\n", "line 1: file has no data rows", id="header-only"),
+    ])
+    def test_malformed_file_names_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_prices(path)
+
+    @pytest.mark.parametrize("last,message", [
+        ("1\xff", "line 3: not UTF-8 text: byte 0xff"),
+        ("x", "line 3: not a number: 'x'"),
+    ])
+    def test_lone_carriage_returns_end_lines_for_every_error(self, tmp_path, last, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"date,open\r2020-01-01,10\r2020-01-02,{last}\r".encode("latin-1"))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_prices(path)
+
 
 class TestCounties:
     def test_round_trip(self, tmp_path):
@@ -160,6 +184,17 @@ class TestCounties:
         with pytest.raises(error) as err:
             read_counties(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("", "line 1: empty file", id="empty"),
+        pytest.param("id,population,x1,y_prev,y\n", "line 1: file has no data rows",
+                     id="header-only"),
+    ])
+    def test_file_without_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_counties(path)
 
     def test_rows_after_a_quoted_line_break_keep_their_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -309,6 +344,25 @@ class TestTrajectory:
         with pytest.raises(ValidationError, match="line break"):
             write_trajectory(tmp_path / "t.csv", replace(report, step_labels=tuple(labels)), 4)
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("label", ["a\x1cb", "a\u2028b", "a\x0bb"])
+    def test_label_with_line_break_rejected_on_read(self, tmp_path, label):
+        # Lines end only at \n, \r\n or \r, so such a label reaches the row check.
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=5), local_window=4)
+        path.write_text(path.read_text().replace("label-2", label), encoding="utf-8")
+        message = f"line 6: label must not hold a line break: {label!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_trajectory(path)
+
+    def test_lone_carriage_returns_end_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trajectory(path, make_report(n=10), local_window=4)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace(",0,", ",2,", 1)
+        path.write_bytes("\r".join(lines).encode("utf-8") + b"\r")
+        with pytest.raises(ValidationError, match="^line 4: err must be 0 or 1, got 2$"):
+            read_trajectory(path)
 
     def test_bad_err_value(self, tmp_path):
         report = make_report(n=10)

@@ -1,11 +1,11 @@
-"""The rank-space replay against the literal per-step threshold loop it replaced.
+"""The replay against the literal per-step threshold loop that defines it.
 
-``reference_replay`` is the definition the pipelines used to run step by
-step: the threshold is ``empirical_quantile(cal, 1 - alpha_t)``, ``+inf``
-when ``alpha_t < 0`` and ``-inf`` when ``alpha_t >= 1``, the miss bit is
-``err_indicator(score, threshold)`` and ``core.update`` moves the level. The
-production replay never evaluates a threshold to decide a bit, so these tests
-pin it to that definition bit for bit.
+``reference_replay`` is the definition step by step: the threshold is
+``empirical_quantile(cal, 1 - alpha_t)``, ``+inf`` when ``alpha_t < 0`` and
+``-inf`` when ``alpha_t >= 1``, the miss bit is ``err_indicator(score,
+threshold)`` and ``core.update`` moves the level. The production replay reads
+each threshold off a sorted set at ``quantile_rank`` and runs ``core.next_level``,
+so these tests pin it to that definition bit for bit.
 """
 
 import math
@@ -123,6 +123,22 @@ class TestReplayMatchesThresholdLoop:
         assert report.upper[2] == math.inf
 
 
+class TestOnePass:
+    def test_calibration_is_read_once_one_set_per_step(self):
+        pulled = []
+
+        def sets():  # one-shot and endless: replay must take one set per step
+            while True:
+                pulled.append(len(pulled))
+                yield [0.0, 1.0, 2.0]
+
+        scores = [0.5, 2.5, 0.5, 1.5]
+        report = replay(AciConfig(0.5, 0.1), scores, sets(), AbsoluteScore(np.zeros(4)).interval,
+                        "abcd")
+        assert len(report) == len(pulled) == 4
+        np.testing.assert_array_equal(report.errs, [0, 1, 0, 1])
+
+
 class TestCalibrationChecks:
     def test_non_finite_volatility_history_is_rejected(self):
         history = np.array([0.0, math.nan, 1.0, 2.0])
@@ -143,7 +159,7 @@ class TestCalibrationChecks:
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_realized_score_is_rejected(self, bad):
         with pytest.raises(DomainError, match="step 2"):
-            replay(AciConfig(0.1, 0.05), [0.5, bad, 0.5], lambda: iter([[0.0, 1.0, 2.0]] * 3),
+            replay(AciConfig(0.1, 0.05), [0.5, bad, 0.5], iter([[0.0, 1.0, 2.0]] * 3),
                    AbsoluteScore(np.zeros(3)).interval, "abc")
 
 
